@@ -8,10 +8,10 @@ variable QTOPO_GUARD overrides the enumeration guard (expert use).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -20,7 +20,7 @@ from . import invariants, linkgeom, qsim
 from .errors import GeometryError, GuardExceeded, SchemaError
 from .linkalg import FramedLinkMatrix
 from .linkgeom import PolyLink
-from .numtheory import ModK, gauss_sum_brute, gauss_sum_closed, is_prime
+from .numtheory import ModK, gauss_sum_brute, gauss_sum_closed, require_odd_prime
 
 EXIT_CONFIG = 2
 EXIT_SCHEMA = 3
@@ -28,19 +28,24 @@ EXIT_GUARD = 4
 EXIT_PROPERTY = 5
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Path | None = None
-    output_path: Path | None = None
-    k: int | None = None
-    a: int | None = None
-    method: str = "factorized"
-    range_convention: str = "paper"
-    epsilon: float = 0.05
-    seed: int = 0
-    moves: int = 10
-    guard: int = invariants.DEFAULT_GUARD
+def _exit_codes(command):
+    """The CLI's error boundary: library input and guard errors become exit codes."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except SchemaError as exc:
+            click.echo(f"schema error: {exc}", err=True)
+            sys.exit(EXIT_SCHEMA)
+        except GeometryError as exc:
+            click.echo(f"geometry error: {exc}", err=True)
+            sys.exit(EXIT_SCHEMA)
+        except GuardExceeded as exc:
+            click.echo(f"guard exceeded: {exc}", err=True)
+            sys.exit(EXIT_GUARD)
+
+    return wrapper
 
 
 def _guard_from_env() -> int:
@@ -53,66 +58,42 @@ def _guard_from_env() -> int:
         raise click.UsageError(f"QTOPO_GUARD must be an integer, got {raw!r}")
 
 
-def _load_link(config: RunConfig) -> FramedLinkMatrix:
-    """Read a linking matrix, converting polygonal-link JSON when given."""
+def _read_json(path: Path) -> object:
     try:
-        text = config.input_path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise click.UsageError(f"--input: {exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed or too deeply nested JSON
         raise SchemaError(f"/: invalid JSON: {exc}") from exc
+
+
+def _load_link(path: Path) -> FramedLinkMatrix:
+    """Read a linking matrix, converting polygonal-link JSON when given."""
+    data = _read_json(path)
     if isinstance(data, dict) and "components" in data:
         return linkgeom.linking_matrix(PolyLink.from_json_dict(data))
     return FramedLinkMatrix.from_json_dict(data)
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
+def _emit(payload: dict, output_path: Path | None) -> None:
     text = json.dumps(payload, sort_keys=True)
-    if config.output_path is not None:
-        config.output_path.write_text(text + "\n")
+    if output_path is not None:
+        output_path.write_text(text + "\n")
     click.echo(text)
 
 
-def _run(config: RunConfig, fn) -> None:
-    try:
-        fn(config)
-    except SchemaError as exc:
-        click.echo(f"schema error: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    except GeometryError as exc:
-        click.echo(f"geometry error: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    except GuardExceeded as exc:
-        click.echo(f"guard exceeded: {exc}", err=True)
-        sys.exit(EXIT_GUARD)
+def _checked_by(check):
+    """Click callback that runs a library validator on the option's value."""
 
+    def callback(ctx, param, value):
+        if value is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise click.BadParameter(str(exc), param=param)
+        return value
 
-def _odd_prime(ctx, param, value):
-    if value is None:
-        return None
-    if value < 3 or value % 2 == 0 or not is_prime(value):
-        raise click.BadParameter(f"{value} is not an odd prime", param=param)
-    return value
-
-
-def _prime_power(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        ModK.from_modulus(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param=param)
-    return value
-
-
-def _epsilon_range(ctx, param, value):
-    if value is None:
-        return None
-    if not 0.0 < value < 1.0:
-        raise click.BadParameter(f"must be in (0, 1), got {value}", param=param)
-    return value
+    return callback
 
 
 _input_opt = click.option(
@@ -131,102 +112,72 @@ def main() -> None:
 
 
 @main.command("tau-abelian")
-@click.option("--k", type=int, required=True, callback=_prime_power, help="Modulus, an odd prime power.")
+@click.option("--k", type=int, required=True, callback=_checked_by(ModK.from_modulus),
+              help="Modulus, an odd prime power.")
 @click.option("--method", type=click.Choice(["brute", "factorized"]), default="factorized", show_default=True)
 @_input_opt
 @_output_opt
+@_exit_codes
 def tau_abelian_cmd(k: int, method: str, input_path: Path, output_path: Path | None) -> None:
     """Abelian gauge invariant of the link's 3-manifold."""
-    config = RunConfig("tau-abelian", input_path=input_path, output_path=output_path,
-                       k=k, method=method, guard=_guard_from_env())
-
-    def go(cfg: RunConfig) -> None:
-        link = _load_link(cfg)
-        result = invariants.tau_abelian(link, ModK.from_modulus(cfg.k), method=cfg.method, guard=cfg.guard)
-        _emit(cfg, result.to_json_dict())
-
-    _run(config, go)
+    guard = _guard_from_env()
+    result = invariants.tau_abelian(_load_link(input_path), ModK.from_modulus(k), method=method, guard=guard)
+    _emit(result.to_json_dict(), output_path)
 
 
 @main.command("tau-su2k3")
 @_input_opt
 @_output_opt
+@_exit_codes
 def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
     """Level-3 SU(2) invariant of the link's 3-manifold."""
-    config = RunConfig("tau-su2k3", input_path=input_path, output_path=output_path,
-                       guard=_guard_from_env())
-
-    def go(cfg: RunConfig) -> None:
-        link = _load_link(cfg)
-        result = invariants.tau_su2_k3(link, guard=cfg.guard)
-        _emit(cfg, result.to_json_dict())
-
-    _run(config, go)
+    guard = _guard_from_env()
+    _emit(invariants.tau_su2_k3(_load_link(input_path), guard=guard).to_json_dict(), output_path)
 
 
 @main.command("tau-dw")
-@click.option("--k", type=int, required=True, help="Order of the cyclic gauge group (>= 2).")
+@click.option("--k", type=click.IntRange(min=2), required=True, help="Order of the cyclic gauge group (>= 2).")
 @click.option("--range", "range_convention", type=click.Choice(["paper", "full"]),
               default="paper", show_default=True, help="Summation range per variable.")
 @_input_opt
 @_output_opt
+@_exit_codes
 def tau_dw_cmd(k: int, range_convention: str, input_path: Path, output_path: Path | None) -> None:
     """Cyclic finite-group invariant of the link's 3-manifold."""
-    if k < 2:
-        raise click.BadParameter(f"must be >= 2, got {k}", param_hint="'--k'")
-    config = RunConfig("tau-dw", input_path=input_path, output_path=output_path,
-                       k=k, range_convention=range_convention, guard=_guard_from_env())
-
-    def go(cfg: RunConfig) -> None:
-        link = _load_link(cfg)
-        result = invariants.tau_dw(link, cfg.k, range_convention=cfg.range_convention, guard=cfg.guard)
-        _emit(cfg, result.to_json_dict())
-
-    _run(config, go)
+    guard = _guard_from_env()
+    result = invariants.tau_dw(_load_link(input_path), k, range_convention=range_convention, guard=guard)
+    _emit(result.to_json_dict(), output_path)
 
 
 @main.command("gauss-sum")
-@click.option("--k", type=int, required=True, help="Modulus (>= 2; odd prime for --method closed).")
+@click.option("--k", type=click.IntRange(min=2), required=True,
+              help="Modulus (>= 2; odd prime for --method closed).")
 @click.option("--a", type=int, required=True, help="Quadratic coefficient.")
 @click.option("--method", type=click.Choice(["brute", "closed"]), default="brute", show_default=True)
 @_output_opt
+@_exit_codes
 def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None:
     """Scalar quadratic Gauss sum G(k, a)."""
-    if k < 2:
-        raise click.BadParameter(f"must be >= 2, got {k}", param_hint="'--k'")
-    config = RunConfig("gauss-sum", output_path=output_path, k=k, a=a, method=method)
-
-    def go(cfg: RunConfig) -> None:
-        try:
-            value = gauss_sum_brute(cfg.k, cfg.a) if cfg.method == "brute" else gauss_sum_closed(cfg.k, cfg.a)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        _emit(cfg, {"k": cfg.k, "a": cfg.a, "method": cfg.method, "re": value.real, "im": value.imag})
-
-    _run(config, go)
+    try:
+        value = gauss_sum_brute(k, a) if method == "brute" else gauss_sum_closed(k, a)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    _emit({"k": k, "a": a, "method": method, "re": value.real, "im": value.imag}, output_path)
 
 
 @main.command("linking-matrix")
 @_input_opt
 @_output_opt
+@_exit_codes
 def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
     """Linking matrix of a polygonal link with framings."""
-    config = RunConfig("linking-matrix", input_path=input_path, output_path=output_path)
-
-    def go(cfg: RunConfig) -> None:
-        try:
-            text = cfg.input_path.read_text()
-        except OSError as exc:
-            raise click.UsageError(f"--input: {exc}")
-        link = linkgeom.linking_matrix(PolyLink.from_json(text))
-        _emit(cfg, {"m": link.m, "J": [list(row) for row in link.J]})
-
-    _run(config, go)
+    link = linkgeom.linking_matrix(PolyLink.from_json_dict(_read_json(input_path)))
+    _emit({"m": link.m, "J": [list(row) for row in link.J]}, output_path)
 
 
 @main.command("check")
 @click.option("--invariant", type=click.Choice(["abelian", "su2k3", "dw"]), required=True)
-@click.option("--k", type=int, default=None, callback=_prime_power,
+@click.option("--k", type=int, default=None, callback=_checked_by(ModK.from_modulus),
               help="Modulus for abelian/dw (odd prime power).")
 @click.option("--range", "range_convention", type=click.Choice(["paper", "full"]), default="full",
               show_default=True, help="Summation range for dw.")
@@ -234,6 +185,7 @@ def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @_input_opt
 @_output_opt
+@_exit_codes
 def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, seed: int,
               input_path: Path, output_path: Path | None) -> None:
     """Verify invariance under a random script of framed-link moves.
@@ -243,60 +195,48 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
     """
     if invariant in ("abelian", "dw") and k is None:
         raise click.UsageError(f"--k is required for --invariant {invariant}")
-    config = RunConfig("check", input_path=input_path, output_path=output_path, k=k,
-                       range_convention=range_convention, seed=seed, moves=moves,
-                       guard=_guard_from_env())
-
-    def go(cfg: RunConfig) -> None:
-        link = _load_link(cfg)
-        ring = ModK.from_modulus(cfg.k) if cfg.k is not None else None
-        report = invariants.check_kirby_invariance(
-            link, invariant, cfg.moves, seed=cfg.seed, ring=ring,
-            range_convention=cfg.range_convention, guard=cfg.guard,
-        )
-        payload = report.to_json_dict()
-        if invariant == "abelian":
-            brute = invariants.tau_abelian(link, ring, method="brute", guard=cfg.guard)
-            fact = invariants.tau_abelian(link, ring, method="factorized", guard=cfg.guard)
-            gap = abs(brute.value - fact.value) / max(abs(brute.value), 1e-30)
-            payload["checks"].append({
-                "name": "factorized_vs_brute",
-                "asserted": True,
-                "passed": gap < 1e-6,
-                "deviation": gap,
-            })
-            payload["passed"] = payload["passed"] and gap < 1e-6
-        for check in payload["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            if not check["asserted"]:
-                status = "RECORDED"
-            click.echo(f"{status} {check['name']}: max deviation {check['deviation']:.3e}", err=True)
-        _emit(cfg, payload)
-        if not payload["passed"]:
-            sys.exit(EXIT_PROPERTY)
-
-    _run(config, go)
+    guard = _guard_from_env()
+    link = _load_link(input_path)
+    ring = ModK.from_modulus(k) if k is not None else None
+    report = invariants.check_kirby_invariance(
+        link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention, guard=guard,
+    )
+    payload = report.to_json_dict()
+    if invariant == "abelian":
+        brute = invariants.tau_abelian(link, ring, method="brute", guard=guard)
+        fact = invariants.tau_abelian(link, ring, method="factorized", guard=guard)
+        gap = abs(brute.value - fact.value) / max(abs(brute.value), 1e-30)
+        payload["checks"].append({
+            "name": "factorized_vs_brute",
+            "asserted": True,
+            "passed": gap < 1e-6,
+            "deviation": gap,
+        })
+        payload["passed"] = payload["passed"] and gap < 1e-6
+    for check in payload["checks"]:
+        status = "PASS" if check["passed"] else "FAIL"
+        if not check["asserted"]:
+            status = "RECORDED"
+        click.echo(f"{status} {check['name']}: max deviation {check['deviation']:.3e}", err=True)
+    _emit(payload, output_path)
+    if not payload["passed"]:
+        sys.exit(EXIT_PROPERTY)
 
 
 @main.command("simulate")
-@click.option("--k", type=int, required=True, callback=_odd_prime, help="Register dimension (odd prime <= 1024).")
+@click.option("--k", type=click.IntRange(max=qsim.MAX_DIM), required=True, callback=_checked_by(require_odd_prime),
+              help="Register dimension (odd prime <= 1024).")
 @click.option("--a", type=int, required=True, help="Gauss-sum parameter, coprime to k.")
-@click.option("--eps", "epsilon", type=float, default=0.05, show_default=True, callback=_epsilon_range,
-              help="Target phase error.")
+@click.option("--eps", "epsilon", type=float, default=0.05, show_default=True,
+              callback=_checked_by(qsim.sample_schedule), help="Target phase error.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_opt
+@_exit_codes
 def simulate_cmd(k: int, a: int, epsilon: float, seed: int, output_path: Path | None) -> None:
     """Estimate the Gauss-sum phase by simulated interferometric sampling."""
-    if k > qsim.MAX_DIM:
-        raise click.BadParameter(f"must be <= {qsim.MAX_DIM}, got {k}", param_hint="'--k'")
     if a % k == 0:
         raise click.BadParameter(f"{a} is not coprime to k={k}", param_hint="'--a'")
-    config = RunConfig("simulate", output_path=output_path, k=k, a=a, epsilon=epsilon, seed=seed)
-
-    def go(cfg: RunConfig) -> None:
-        _emit(cfg, qsim.estimate_report(cfg.k, cfg.a, cfg.epsilon, seed=cfg.seed))
-
-    _run(config, go)
+    _emit(qsim.estimate_report(k, a, epsilon, seed=seed), output_path)
 
 
 if __name__ == "__main__":

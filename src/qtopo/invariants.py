@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +64,6 @@ class InvariantResult:
     method: str
     k: int
     m: int
-    elapsed: float
     normalized: complex
 
     def to_json_dict(self) -> dict:
@@ -109,44 +107,25 @@ def multivariate_gauss_sum(
     den = phase_scale.denominator
     if den == 1:
         return complex(total)  # every term is exp(2*pi*i * integer) = 1
-    jmat = link.as_array()
-    max_j = int(np.abs(jmat).max(initial=0))
-    # residues are reduced mod den before forming the quadratic form, which
-    # leaves q mod den unchanged; bound the intermediate magnitude from that
-    if m * m * max_j * (den - 1) ** 2 * abs(num) >= 2**62:
-        return _multivariate_gauss_sum_exact(link, lo, width, num, den)
-
+    # with J, the residues and num reduced mod den, every intermediate of
+    # ((n @ J) % den * n) stays below m * (den - 1)**2, so int64 is exact
+    if m * (den - 1) ** 2 >= 2**63:
+        raise GuardExceeded(f"modulus {den} is too large for exact int64 phases with m={m}")
+    jmat = np.array([[x % den for x in row] for row in link.J], dtype=np.int64)
+    num %= den
     powers = width ** np.arange(m - 1, -1, -1, dtype=np.int64)
     acc = 0.0 + 0.0j
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = ((idx[:, None] // powers[None, :]) % width + lo) % den
-        q = np.einsum("ni,ij,nj->n", digits, jmat, digits)
+        del idx
+        prod = digits @ jmat
+        prod %= den
+        q = np.einsum("ni,ni->n", prod, digits)
+        del digits, prod  # free the chunk's (n, m) arrays before its phases are built
+        q %= den
         acc += complex(np.exp((2.0j * math.pi / den) * ((num * q) % den)).sum())
     return acc
-
-
-def _multivariate_gauss_sum_exact(
-    link: FramedLinkMatrix, lo: int, width: int, num: int, den: int
-) -> complex:
-    """Arbitrary-precision fallback for entry sizes that could overflow int64."""
-    m = link.m
-    rows = link.J
-    acc = 0.0 + 0.0j
-    idx = [0] * m
-    while True:
-        n = [v + lo for v in idx]
-        q = sum(rows[i][j] * n[i] * n[j] for i in range(m) for j in range(m))
-        acc += np.exp(2.0j * math.pi * ((num * q) % den) / den)
-        pos = m - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < width:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return complex(acc)
 
 
 def tau_abelian(
@@ -168,7 +147,6 @@ def tau_abelian(
             f"k={k} is not 1 mod 4; the Abelian value is not phase-invariant under blow-ups",
             stacklevel=2,
         )
-    start = time.perf_counter()
     if method == "brute":
         value = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1, guard)
     elif method == "factorized":
@@ -178,9 +156,8 @@ def tau_abelian(
             value *= gauss_sum_brute(k, entry)
     else:
         raise ValueError(f"unknown method {method!r}")
-    elapsed = time.perf_counter() - start
     normalized = value / k ** (link.m / 2)
-    return InvariantResult(value=value, method=method, k=k, m=link.m, elapsed=elapsed, normalized=normalized)
+    return InvariantResult(value=value, method=method, k=k, m=link.m, normalized=normalized)
 
 
 def tau_su2_k3(link: FramedLinkMatrix, guard: int = DEFAULT_GUARD) -> InvariantResult:
@@ -189,13 +166,10 @@ def tau_su2_k3(link: FramedLinkMatrix, guard: int = DEFAULT_GUARD) -> InvariantR
     2**(-m/2) * exp(-i*pi*sigma/4) * sum over n in {1,2}^m of
     exp(i*pi * n^T J n / 2), with sigma the exact signature of J.
     """
-    start = time.perf_counter()
     sig = signature(link)
     core = multivariate_gauss_sum(link, 3, Fraction(1, 4), SumRange.ONE_TWO, guard)
-    value = 2 ** (-link.m / 2) * np.exp(-0.25j * math.pi * sig) * core
-    elapsed = time.perf_counter() - start
-    value = complex(value)
-    return InvariantResult(value=value, method="brute", k=3, m=link.m, elapsed=elapsed, normalized=value)
+    value = complex(2 ** (-link.m / 2) * np.exp(-0.25j * math.pi * sig) * core)
+    return InvariantResult(value=value, method="brute", k=3, m=link.m, normalized=value)
 
 
 DwRange = Literal["paper", "full"]
@@ -220,11 +194,9 @@ def tau_dw(
     """
     if range_convention not in _DW_RANGES:
         raise ValueError(f"unknown range convention {range_convention!r}")
-    start = time.perf_counter()
     core = multivariate_gauss_sum(link, k, Fraction(1, k), _DW_RANGES[range_convention], guard)
     value = core / k
-    elapsed = time.perf_counter() - start
-    return InvariantResult(value=value, method="brute", k=k, m=link.m, elapsed=elapsed, normalized=value)
+    return InvariantResult(value=value, method="brute", k=k, m=link.m, normalized=value)
 
 
 # ---------------------------------------------------------------------------

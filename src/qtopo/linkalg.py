@@ -31,15 +31,17 @@ class FramedLinkMatrix:
     J: Rows
 
     def __post_init__(self) -> None:
+        """The one matrix validator; errors name the field as a JSON pointer."""
         m = len(self.J)
         for i, row in enumerate(self.J):
             if len(row) != m:
-                raise ValueError(f"row {i} has length {len(row)}, expected {m}")
+                raise SchemaError(f"/J/{i}: row length {len(row)} != {m}")
+        for i, row in enumerate(self.J):
             for j, entry in enumerate(row):
                 if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise ValueError(f"entry ({i},{j}) is not an integer: {entry!r}")
+                    raise SchemaError(f"/J/{i}/{j}: not an integer")
                 if self.J[j][i] != entry:
-                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
+                    raise SchemaError(f"/J/{i}/{j}: matrix is not symmetric")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "FramedLinkMatrix":
@@ -65,18 +67,9 @@ class FramedLinkMatrix:
         rows = data["J"]
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise SchemaError("/J: expected a list of rows")
-        m = len(rows)
-        if "m" in data and data["m"] != m:
-            raise SchemaError(f"/m: declared {data['m']} but J has {m} rows")
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise SchemaError(f"/J/{i}: row length {len(row)} != {m}")
-            for j, entry in enumerate(row):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise SchemaError(f"/J/{i}/{j}: not an integer")
-                if rows[j][i] != entry:
-                    raise SchemaError(f"/J/{i}/{j}: matrix is not symmetric")
-        return cls.from_rows(rows)
+        if "m" in data and data["m"] != len(rows):
+            raise SchemaError(f"/m: declared {data['m']} but J has {len(rows)} rows")
+        return cls(J=tuple(tuple(row) for row in rows))
 
     @classmethod
     def from_json(cls, text: str) -> "FramedLinkMatrix":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,13 @@ RESIDUAL_TOL = 1e-6
 Curve = np.ndarray  # (n, 3) float array, vertices of a closed polygon
 
 
+def _is_number(x: object) -> bool:
+    """Whether x is a JSON number that converts to a float without overflow."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class PolyLink:
     """Closed polygonal curves with per-vertex framing offset directions."""
@@ -41,18 +49,23 @@ class PolyLink:
     delta: float
 
     def __post_init__(self) -> None:
+        """The one link validator; errors name the field as a JSON pointer."""
         if len(self.components) != len(self.framings):
             raise ValueError("one framing offset field required per component")
         for idx, (curve, offs) in enumerate(zip(self.components, self.framings)):
             if curve.shape[0] < 3:
-                raise ValueError(f"component {idx} has fewer than 3 vertices")
+                raise SchemaError(f"/components/{idx}/points: expected >=3 [x,y,z] triples")
             if curve.shape != offs.shape:
-                raise ValueError(f"component {idx}: offsets shape {offs.shape} != points shape {curve.shape}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+                raise SchemaError(f"/components/{idx}/offsets: shape {offs.shape} != points shape {curve.shape}")
+            for key, arr in (("points", curve), ("offsets", offs)):
+                if not np.isfinite(arr).all():
+                    raise SchemaError(f"/components/{idx}/{key}: coordinates must be finite")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise SchemaError(f"/delta: expected a positive finite number, got {self.delta}")
 
     @classmethod
     def from_json_dict(cls, data: object) -> "PolyLink":
+        """Check the JSON types of the polygonal-link schema; the values are checked on construction."""
         if not isinstance(data, dict):
             raise SchemaError("/: expected a JSON object")
         if "components" not in data:
@@ -64,27 +77,17 @@ class PolyLink:
         for i, comp in enumerate(data["components"]):
             if not isinstance(comp, dict):
                 raise SchemaError(f"/components/{i}: expected an object")
-            for key in ("points", "offsets"):
+            for key, arrays in (("points", comps), ("offsets", offs)):
                 if key not in comp:
                     raise SchemaError(f"/components/{i}/{key}: missing")
                 rows = comp[key]
-                if (
-                    not isinstance(rows, list)
-                    or len(rows) < 3
-                    or any(
-                        not isinstance(pt, list)
-                        or len(pt) != 3
-                        or any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in pt)
-                        for pt in rows
-                    )
+                if not isinstance(rows, list) or any(
+                    not isinstance(pt, list) or len(pt) != 3 or not all(map(_is_number, pt)) for pt in rows
                 ):
-                    raise SchemaError(f"/components/{i}/{key}: expected >=3 [x,y,z] triples")
-            if len(comp["points"]) != len(comp["offsets"]):
-                raise SchemaError(f"/components/{i}/offsets: length differs from points")
-            comps.append(np.array(comp["points"], dtype=float))
-            offs.append(np.array(comp["offsets"], dtype=float))
+                    raise SchemaError(f"/components/{i}/{key}: expected [x,y,z] triples")
+                arrays.append(np.array(rows, dtype=float))
         delta = data.get("delta")
-        if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not delta > 0:
+        if not _is_number(delta):
             raise SchemaError("/delta: expected a positive number")
         return cls(components=tuple(comps), framings=tuple(offs), delta=float(delta))
 

@@ -46,9 +46,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_odd_prime(k: int) -> None:
+def require_odd_prime(k: int) -> None:
+    """Raise ValueError unless k is an odd prime."""
     if k < 3 or k % 2 == 0 or not is_prime(k):
-        raise ValueError(f"modulus {k} is not an odd prime")
+        raise ValueError(f"{k} is not an odd prime")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -75,8 +76,7 @@ class ModK:
     e: int
 
     def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"base {self.p} is not an odd prime")
+        require_odd_prime(self.p)
         if self.e < 1 or self.p**self.e != self.k:
             raise ValueError(f"modulus {self.k} is not {self.p}**{self.e}")
 
@@ -130,7 +130,7 @@ class Character:
 
     @classmethod
     def legendre(cls, k: int) -> "Character":
-        _require_odd_prime(k)
+        require_odd_prime(k)
         table = tuple(legendre_chi(n, k) for n in range(k))
         return cls(k=k, table=table)
 
@@ -144,7 +144,7 @@ def legendre_chi(n: int, k: int) -> int:
     Returns +1 for nonzero quadratic residues, -1 for non-residues, 0 when
     k divides n.
     """
-    _require_odd_prime(k)
+    require_odd_prime(k)
     n %= k
     if n == 0:
         return 0
@@ -154,7 +154,7 @@ def legendre_chi(n: int, k: int) -> int:
 
 def primitive_root(k: int) -> int:
     """Smallest generator of the multiplicative group mod an odd prime k."""
-    _require_odd_prime(k)
+    require_odd_prime(k)
     factors = _prime_factors(k - 1)
     for g in range(2, k):
         if all(pow(g, (k - 1) // q, k) != 1 for q in factors):
@@ -164,7 +164,7 @@ def primitive_root(k: int) -> int:
 
 def is_generator(g: int, k: int) -> bool:
     """Whether g generates the multiplicative group mod the odd prime k."""
-    _require_odd_prime(k)
+    require_odd_prime(k)
     g %= k
     if g == 0:
         return False
@@ -177,7 +177,7 @@ def discrete_log(n: int, g: int, k: int) -> int:
     O(sqrt(k)) time and space. g must be a generator of the group; n must
     be nonzero mod k.
     """
-    _require_odd_prime(k)
+    require_odd_prime(k)
     n %= k
     if n == 0:
         raise ValueError("discrete log of 0 is undefined")
@@ -223,15 +223,8 @@ def gauss_sum_closed(k: int, a: int) -> complex:
     and i for k = 3 (mod 4); the conjugate matches the negative exponent
     convention of gauss_sum_brute. Requires gcd(a, k) = 1.
     """
-    _require_odd_prime(k)
+    require_odd_prime(k)
     if math.gcd(a, k) != 1:
         raise ValueError(f"a={a} is not coprime to k={k}")
     eps_conj = 1.0 + 0.0j if k % 4 == 1 else -1.0j
     return legendre_chi(a, k) * eps_conj * math.sqrt(k)
-
-
-def kirby_phase(k: int) -> float:
-    """Phase 3*pi*(k-2)/(4*k) picked up per elementary framed-link move."""
-    if k < 2:
-        raise ValueError(f"level {k} must be >= 2")
-    return 3.0 * math.pi * (k - 2) / (4.0 * k)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import Character, discrete_log, gauss_sum_brute, is_prime, primitive_root
+from .numtheory import Character, discrete_log, gauss_sum_brute, primitive_root, require_odd_prime
 
 MAX_DIM = 1024
 
@@ -132,8 +132,7 @@ def prepare_legendre_state(k: int) -> StateVector:
     the phase (-1)^dlog(n) = chi(n). After checking the registers are
     unentangled (to 1e-10) the ancilla is projected out.
     """
-    if k < 3 or not is_prime(k):
-        raise ValueError(f"k={k} must be an odd prime")
+    require_odd_prime(k)
     if k > MAX_DIM:
         raise ValueError(f"k={k} exceeds the simulator cap {MAX_DIM}")
     anc = k - 1

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geom_helpers import hopf_pair, outward_offsets
 from qtopo.cli import main
@@ -195,6 +197,73 @@ class TestExitCodes:
     def test_missing_input_is_2(self, runner):
         result = runner.invoke(main, ["tau-su2k3", "-i", "no_such_file.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"J": [[0, 1], []]}',
+            b'{"components": [{"points": [[NaN,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
+            b' "delta": 0.1}',
+            b'{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
+            b' "delta": Infinity}',
+            b'{"J": [[\xff]]}',
+            b"[" * 100000,
+        ],
+        ids=["ragged", "nan-point", "infinite-delta", "not-utf8", "deep-nesting"],
+    )
+    def test_malformed_inputs_are_3(self, runner, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        for args in (["tau-su2k3"], ["tau-dw", "--k", "5"]):
+            result = runner.invoke(main, [*args, "-i", str(bad)])
+            assert result.exit_code == 3
+            assert result.output.startswith("schema error: /")
+
+    @pytest.mark.parametrize("args", [["tau-dw", "--k", "5"], ["tau-su2k3"]])
+    def test_entries_beyond_int64_give_a_value(self, runner, tmp_path, args):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"J": [[100000000000000000000]]}')
+        small = tmp_path / "small.json"
+        small.write_text('{"J": [[20]]}')  # congruent mod 4 and mod 5, same signature
+        result = runner.invoke(main, [*args, "-i", str(huge)])
+        assert result.exit_code == 0
+        assert parse(result) == parse(runner.invoke(main, [*args, "-i", str(small)]))
+
+
+_ENTRIES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+_MATRIX_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"J": st.lists(st.lists(_ENTRIES, max_size=3), max_size=3)},
+        optional={"m": st.one_of(st.integers(min_value=0, max_value=4), _ENTRIES)},
+    ),
+    # mostly well-formed: a symmetric matrix of plain or huge integers
+    st.integers(min_value=0, max_value=3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=m, max_size=m),
+            min_size=m, max_size=m,
+        ).map(lambda rows: {"J": [[rows[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]})
+    ),
+    st.lists(_ENTRIES, max_size=3),
+    _ENTRIES,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(doc=_MATRIX_DOCS)
+def test_matrix_json_never_gives_a_traceback(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "matrix_doc.json"
+    path.write_text(json.dumps(doc))
+    runner = CliRunner()
+    for args in (["tau-su2k3"], ["tau-dw", "--k", "5"]):
+        result = runner.invoke(main, [*args, "-i", str(path)])
+        assert result.exit_code in (0, 3, 4), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestDeterminism:

@@ -58,10 +58,14 @@ class TestMultivariateGaussSum:
         link = FramedLinkMatrix.from_rows([[0, 0], [0, 0]])
         with pytest.raises(GuardExceeded):
             multivariate_gauss_sum(link, 101, Fraction(-1, 101), guard=100)
+        # a modulus too large for exact int64 phases is refused before any term is summed
+        k = 2**32 + 15
+        with pytest.raises(GuardExceeded):
+            multivariate_gauss_sum(FramedLinkMatrix.from_rows([[1]]), k, Fraction(1, k), guard=10**10)
 
     def test_exact_fallback_matches_vectorized(self):
-        # huge entries force the arbitrary-precision path; values must agree
-        # with a plain rescaled computation mod the denominator
+        # huge entries must give the value of the same matrix reduced mod the
+        # denominator
         big = 3 * 10**9
         link_big = FramedLinkMatrix.from_rows([[big + 2]])
         link_small = FramedLinkMatrix.from_rows([[(big + 2) % 5]])

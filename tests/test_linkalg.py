@@ -54,6 +54,7 @@ class TestFramedLinkMatrix:
             ('{"m": 2, "J": [[0, 1], [2, 0]]}', "/J/0/1"),
             ('{"m": 3, "J": [[0]]}', "/m"),
             ('{"J": [[0, 1]]}', "/J/0"),
+            ('{"J": [[0, 1], []]}', "/J/1"),
             ('{"J": [[0.5]]}', "/J/0/0"),
             ('{"m": 1}', "/J"),
             ("[1, 2]", "/"),

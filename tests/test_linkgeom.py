@@ -221,6 +221,13 @@ class TestPolyLinkJson:
             ('{"components": [], "delta": "x"}', "/delta"),
             ('{"components": [{"points": [[0,0],[1,0],[0,1]], "offsets": [[0,0],[1,0],[0,1]]}], "delta": 0.1}',
              "/components/0/points"),
+            ('{"components": [{"points": [[NaN,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
+             ' "delta": 0.1}', "/components/0/points"),
+            ('{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,-Infinity],[0,0,1]]}],'
+             ' "delta": 0.1}', "/components/0/offsets"),
+            ('{"components": [], "delta": Infinity}', "/delta"),
+            ('{"components": [], "delta": NaN}', "/delta"),
+            pytest.param('{"components": [], "delta": 1%s}' % ("0" * 400), "/delta", id="delta-beyond-float"),
         ],
     )
     def test_schema_errors_name_field(self, payload, pointer):

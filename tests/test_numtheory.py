@@ -12,7 +12,6 @@ from qtopo.numtheory import (
     gauss_sum_closed,
     is_generator,
     is_prime,
-    kirby_phase,
     legendre_chi,
     primitive_root,
 )
@@ -162,17 +161,6 @@ class TestGaussSumClosed:
             gauss_sum_closed(9, 1)  # prime power, not prime
         with pytest.raises(ValueError):
             gauss_sum_closed(5, 10)  # not coprime
-
-
-class TestKirbyPhase:
-    def test_values(self):
-        assert kirby_phase(2) == 0.0
-        assert math.isclose(kirby_phase(3), math.pi / 4)
-        assert math.isclose(kirby_phase(6), math.pi / 2)
-
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            kirby_phase(1)
 
 
 class TestModK:
