@@ -158,6 +158,10 @@ def tau_dw_cmd(k: int, range_convention: str, input_path: Path, output_path: Pat
 @_exit_codes
 def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None:
     """Scalar quadratic Gauss sum G(k, a)."""
+    if method == "brute":
+        guard = _guard_from_env()
+        if k > guard:
+            raise GuardExceeded(f"{k} terms exceeds guard {guard}")
     try:
         value = gauss_sum_brute(k, a) if method == "brute" else gauss_sum_closed(k, a)
     except ValueError as exc:

@@ -7,9 +7,11 @@ mod k, multiply scalar Gauss sums) whose agreement with brute force is the
 load-bearing correctness check of the whole reduction.
 
 Exponents are always an exact integer residue times an exact rational
-multiple of 2*pi; no float enters before the final angle conversion. Sums
-are evaluated in fixed-size chunks with deterministic accumulation order,
-so results are bit-stable across runs.
+multiple of 2*pi; no float enters before the final angle conversion. The
+brute sum counts how often each exponent residue occurs, exactly, and
+weighs each count by its phase once; only a denominator too large for a
+count array falls back to summing phases chunk by chunk, in a fixed order.
+Either way results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -107,25 +109,66 @@ def multivariate_gauss_sum(
     den = phase_scale.denominator
     if den == 1:
         return complex(total)  # every term is exp(2*pi*i * integer) = 1
-    # with J, the residues and num reduced mod den, every intermediate of
+    # with num * J and the residues reduced mod den, every intermediate of
     # ((n @ J) % den * n) stays below m * (den - 1)**2, so int64 is exact
     if m * (den - 1) ** 2 >= 2**63:
         raise GuardExceeded(f"modulus {den} is too large for exact int64 phases with m={m}")
-    jmat = np.array([[x % den for x in row] for row in link.J], dtype=np.int64)
-    num %= den
-    powers = width ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    acc = 0.0 + 0.0j
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = ((idx[:, None] // powers[None, :]) % width + lo) % den
-        del idx
-        prod = digits @ jmat
-        prod %= den
-        q = np.einsum("ni,ni->n", prod, digits)
-        del digits, prod  # free the chunk's (n, m) arrays before its phases are built
-        q %= den
-        acc += complex(np.exp((2.0j * math.pi / den) * ((num * q) % den)).sum())
-    return acc
+    jmat = np.array([[num * x % den for x in row] for row in link.J], dtype=np.int64)
+    # meet in the middle: n = (x, y) with x the first m//2 variables, so
+    # q = x^T A x + y^T B y + x^T (2C) y (mod den). A block of x rows meets a
+    # chunk of y rows in one int64 matmul plus two broadcast additions, every
+    # operand reduced mod den first, so no intermediate passes the bound above
+    # and a block holds at most _CHUNK values of q. The x half, never larger
+    # than the y half, is rebuilt for each y chunk: cheap next to the product.
+    mx = m // 2
+    a, b, c2 = jmat[:mx, :mx], jmat[mx:, mx:], (2 * jmat[:mx, mx:]) % den
+    counts = np.zeros(den, dtype=np.int64) if den <= _CHUNK else None
+    acc = 0.0 + 0.0j  # summed phases where a count array would outgrow a chunk
+    x_total, y_total = width**mx, width ** (m - mx)
+    for y_start in range(0, y_total, _CHUNK):
+        y, qy = _half_box(m - mx, y_start, min(y_start + _CHUNK, y_total), lo, width, b, den)
+        x_block = max(1, _CHUNK // len(qy))
+        for x_start in range(0, x_total, x_block):
+            x, qx = _half_box(mx, x_start, min(x_start + x_block, x_total), lo, width, a, den)
+            cross = x @ c2
+            cross %= den
+            q = cross @ y.T
+            del x, cross
+            q %= den
+            q += qx[:, None]
+            q += qy
+            q %= den
+            if counts is not None:
+                counts += np.bincount(q.ravel(), minlength=den)
+            else:
+                q = q * (2.0 * math.pi / den)  # the angles; rebinding frees the residues
+                acc += complex(np.cos(q).sum(), np.sin(q, out=q).sum())
+            del q
+        del y, qy  # free this chunk before the next one is built
+    if counts is None:
+        return acc
+    return complex(counts @ np.exp((2.0j * math.pi / den) * np.arange(den)))
+
+
+def _half_box(
+    h: int, start: int, stop: int, lo: int, width: int, form: np.ndarray, den: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows start..stop-1 of the box [lo, lo + width)**h reduced mod den, and their forms mod den.
+
+    Row t's digits in base width, the first variable most significant, are
+    the offsets from lo.
+    """
+    powers = width ** np.arange(h - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(start, stop, dtype=np.int64)[:, None] // powers
+    rows %= width
+    rows += lo
+    rows %= den
+    prod = rows @ form
+    prod %= den
+    prod *= rows
+    forms = prod.sum(axis=1)
+    forms %= den
+    return rows, forms
 
 
 def tau_abelian(
@@ -342,6 +385,8 @@ def check_kirby_invariance(
     if isinstance(moves, int):
         if invariant == "su2k3":
             m_cap = 16
+        elif guard < 1:
+            raise GuardExceeded(f"guard {guard} admits no terms")
         else:
             m_cap = max(link.m, int(math.log(min(guard, 10**6), k)))
         script = make_move_script(link, moves, seed, m_cap=m_cap)

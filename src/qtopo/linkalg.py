@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import SchemaError
 from .numtheory import ModK
 
@@ -50,9 +48,6 @@ class FramedLinkMatrix:
     @property
     def m(self) -> int:
         return len(self.J)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.J, dtype=np.int64).reshape(self.m, self.m)
 
     def to_json(self) -> str:
         return json.dumps({"m": self.m, "J": [list(row) for row in self.J]})

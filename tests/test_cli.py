@@ -194,6 +194,31 @@ class TestExitCodes:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("invariant", ["abelian", "dw", "su2k3"])
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_check_with_guard_below_one_is_4(self, runner, unknot_p1, invariant, guard):
+        result = runner.invoke(
+            main, ["check", "--invariant", invariant, "--k", "5", "-i", str(unknot_p1)],
+            env={"QTOPO_GUARD": guard},
+        )
+        assert result.exit_code == 4
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "guard exceeded:" in result.output
+
+    def test_brute_gauss_sum_respects_guard(self, runner):
+        result = runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1"], env={"QTOPO_GUARD": "100"})
+        assert result.exit_code == 4
+        assert result.output.startswith("guard exceeded:")
+        # the closed form sums no terms, so the guard does not apply to it
+        closed = runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1", "--method", "closed"],
+                               env={"QTOPO_GUARD": "100"})
+        assert closed.exit_code == 0
+        default = runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1"])
+        assert default.exit_code == 0
+        assert math.isclose(parse(default)["re"], math.sqrt(1009), abs_tol=1e-9)
+        assert parse(default) == parse(runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1"],
+                                                     env={"QTOPO_GUARD": "1009"}))
+
     def test_missing_input_is_2(self, runner):
         result = runner.invoke(main, ["tau-su2k3", "-i", "no_such_file.json"])
         assert result.exit_code == 2

@@ -1,9 +1,15 @@
+import cmath
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtopo import invariants
 from qtopo.errors import GuardExceeded
 from qtopo.invariants import (
     SumRange,
@@ -20,7 +26,84 @@ from qtopo.numtheory import ModK, gauss_sum_brute
 from test_linkalg import random_symmetric
 
 
+def oracle_gauss_sum(rows, k: int, phase: Fraction, offset_range: SumRange) -> complex:
+    """Term-by-term sum over itertools.product, with exact integer exponents."""
+    lo, hi = offset_range.bounds(k)
+    m = len(rows)
+    acc = 0.0 + 0.0j
+    for n in itertools.product(range(lo, hi + 1), repeat=m):
+        q = sum(rows[i][j] * n[i] * n[j] for i in range(m) for j in range(m))
+        acc += cmath.exp(2j * math.pi * (phase.numerator * q % phase.denominator) / phase.denominator)
+    return acc
+
+
+def rel_gap(got: complex, want: complex) -> float:
+    # a sum of unit phasors that cancels has no scale of its own, so gaps are
+    # measured against max(|want|, 1)
+    return abs(got - want) / max(abs(want), 1.0)
+
+
+@st.composite
+def gauss_sum_cases(draw):
+    m = draw(st.integers(0, 5))
+    offset_range = draw(st.sampled_from(list(SumRange)))
+    den = draw(st.sampled_from([2, 3, 4, 5, 9, 13, 25]))
+    num = draw(st.integers(-2 * den, 2 * den).filter(lambda v: math.gcd(v, den) == 1))
+    k_max = int(2048 ** (1 / m) + 1e-9) + 1 if m else 40  # keeps the oracle under ~2100 terms
+    k = draw(st.integers(2, max(2, k_max)))
+    upper = draw(st.lists(st.integers(-(10**20), 10**20), min_size=m * (m + 1) // 2,
+                          max_size=m * (m + 1) // 2))
+    rows = [[0] * m for _ in range(m)]
+    entries = iter(upper)
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = next(entries)
+    return rows, k, Fraction(num, den), offset_range
+
+
 class TestMultivariateGaussSum:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(gauss_sum_cases())
+    def test_matches_term_by_term_oracle(self, case):
+        rows, k, phase, offset_range = case
+        value = multivariate_gauss_sum(FramedLinkMatrix.from_rows(rows), k, phase, offset_range)
+        assert rel_gap(value, oracle_gauss_sum(rows, k, phase, offset_range)) <= 1e-9
+
+    def test_chunk_size_does_not_change_the_value(self, monkeypatch):
+        # every denominator here is <= 7, so both chunk sizes count residues,
+        # and integer counts do not depend on how the box was cut
+        rng = random.Random(41)
+        cases = [
+            (random_symmetric(rng, 5), 5, Fraction(-1, 5), SumRange.ZERO_TO_KM1),
+            (random_symmetric(rng, 4), 7, Fraction(1, 7), SumRange.ONE_TO_KM1),
+            (random_symmetric(rng, 3), 6, Fraction(3, 4), SumRange.ONE_TO_K),
+            (random_symmetric(rng, 8), 3, Fraction(1, 4), SumRange.ONE_TWO),
+            (FramedLinkMatrix.from_rows([[10**20 + 1]]), 40, Fraction(-1, 5), SumRange.ZERO_TO_KM1),
+        ]
+        default = [multivariate_gauss_sum(*case) for case in cases]
+        monkeypatch.setattr(invariants, "_CHUNK", 7)
+        assert [multivariate_gauss_sum(*case) for case in cases] == default
+
+    def test_large_denominator_allocates_no_counts(self):
+        den = 10**9 + 7
+        rows = [[3, 10**20], [10**20, -7]]
+        phase = Fraction(1, den)
+        tracemalloc.start()
+        try:
+            value = multivariate_gauss_sum(FramedLinkMatrix.from_rows(rows), 3, phase, SumRange.ONE_TWO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a count per residue would take 8 GB
+        assert rel_gap(value, oracle_gauss_sum(rows, 3, phase, SumRange.ONE_TWO)) <= 1e-9
+
+    def test_oversized_half_matches_scalar_sum(self):
+        # one variable over more residues than fit in a chunk
+        k = 4000037
+        assert k > invariants._CHUNK
+        value = multivariate_gauss_sum(FramedLinkMatrix.from_rows([[3]]), k, Fraction(-1, k))
+        assert rel_gap(value, gauss_sum_brute(k, 3)) <= 1e-9
+
     def test_single_variable_matches_scalar_sum(self):
         link = FramedLinkMatrix.from_rows([[1]])
         value = multivariate_gauss_sum(link, 5, Fraction(-1, 5))

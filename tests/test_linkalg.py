@@ -159,7 +159,7 @@ class TestSignature:
         checked = 0
         while checked < 60:
             link = random_symmetric(rng, rng.randint(1, 6))
-            eigs = np.linalg.eigvalsh(link.as_array().astype(float))
+            eigs = np.linalg.eigvalsh(np.array(link.J, dtype=float))
             if min(abs(e) for e in eigs) < 1e-6 and any(e != 0 for e in eigs):
                 continue  # float oracle unreliable near singular spectra
             expected = int((eigs > 1e-6).sum() - (eigs < -1e-6).sum())
