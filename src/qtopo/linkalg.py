@@ -3,8 +3,12 @@
 A framed link with m components is represented by its symmetric integer
 linking matrix: pairwise linking numbers off the diagonal, framings on it.
 This module provides the elementary moves on such matrices (stabilization
-by a split +-1 unknot and its inverse, handle slides), the exact signature,
-and congruence diagonalization modulo an odd prime power.
+by a split +-1 unknot and its inverse, handle slides), the exact signature
+and congruence diagonalization modulo an odd prime power. The last two share
+one symmetric-elimination driver (pivot search, slide, swap); only the
+eliminate step depends on the ring: fraction-free Bareiss elimination over
+the integers for the signature, unit-pivot elimination over Z/p**e for the
+diagonalization.
 
 Matrices are immutable and all functions pure; thread-safe throughout.
 """
@@ -13,8 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import SchemaError
 from .numtheory import ModK
@@ -82,10 +85,6 @@ class DiagonalizationResult:
     U: Rows
     d: tuple[int, ...]
 
-    def det(self) -> int:
-        """Exact integer determinant of U (must be +-1)."""
-        return _det_int([list(row) for row in self.U])
-
 
 def blow_up(link: FramedLinkMatrix, sign: int) -> FramedLinkMatrix:
     """Add a split unknot with framing +-1: block sum J (+) (sign)."""
@@ -131,83 +130,95 @@ def handle_slide(link: FramedLinkMatrix, i: int, j: int, sign: int) -> FramedLin
     return FramedLinkMatrix.from_rows(rows)
 
 
+def _identity(m: int) -> list[list[int]]:
+    return [[1 if r == c else 0 for c in range(m)] for r in range(m)]
+
+
+def _reduce_symmetric(
+    a: list[list[int]],
+    u: list[list[int]],
+    valuation: Callable[[int], int],
+    cap: int,
+    eliminate: Callable[[int, int], None],
+) -> int:
+    """Symmetric elimination driver shared by every ring; returns the swap count.
+
+    At step t the pivot is an entry of minimal valuation v in the active
+    block a[t:, t:]; the loop stops once v reaches cap (the block vanishes).
+    Diagonal pivots are preferred; when every minimal-valuation entry is
+    off-diagonal at (i, j), one slide (column/row i += column/row j) moves it
+    onto the diagonal as a[i][i] + 2*a[i][j] + a[j][j], where the cross term
+    dominates because both diagonal entries have strictly larger valuation
+    and 2 is a unit. The pivot is swapped to t, then eliminate(t, v) clears
+    its row and column. Slides and swaps act on the columns of u as well.
+    """
+    m = len(a)
+    swaps = 0
+    for t in range(m):
+        vmin = min(valuation(a[r][c]) for r in range(t, m) for c in range(t, m))
+        if vmin >= cap:
+            break
+        diag = next((i for i in range(t, m) if valuation(a[i][i]) == vmin), None)
+        if diag is None:
+            i, j = next(
+                (r, c)
+                for r in range(t, m)
+                for c in range(t, m)
+                if r != c and valuation(a[r][c]) == vmin
+            )
+            for row in a:
+                row[i] += row[j]
+            for c in range(m):
+                a[i][c] += a[j][c]
+            for row in u:
+                row[i] += row[j]
+            diag = i
+        if diag != t:
+            a[diag], a[t] = a[t], a[diag]
+            for rows in (a, u):
+                for row in rows:
+                    row[diag], row[t] = row[t], row[diag]
+            swaps += 1
+        eliminate(t, vmin)
+    return swaps
+
+
 def signature(link: FramedLinkMatrix) -> int:
     """Signature of J over the reals: #positive minus #negative eigenvalues.
 
-    Computed by symmetric congruence reduction over exact rationals, so the
-    inertia is read off a diagonal form without any floating-point step.
-    Zero eigenvalues contribute nothing.
+    Computed by fraction-free symmetric (Bareiss) elimination over the
+    integers: the t-th pivot is the leading principal minor D_(t+1) of a
+    congruent matrix, so the t-th diagonal entry of its LDL^T form has the
+    sign of D_(t+1) * D_t. No floating-point step; zero eigenvalues
+    contribute nothing.
     """
     m = link.m
-    a = [[Fraction(x) for x in row] for row in link.J]
-    sig = 0
-    for t in range(m):
-        if a[t][t] == 0:
-            pivot = next((i for i in range(t, m) if a[i][i] != 0), None)
-            if pivot is None:
-                pair = next(
-                    ((i, j) for i in range(t, m) for j in range(i + 1, m) if a[i][j] != 0),
-                    None,
-                )
-                if pair is None:
-                    break  # remaining block is zero
-                i, j = pair
-                # row/col i += row/col j turns the zero diagonal into 2*a[i][j]
-                for c in range(m):
-                    a[i][c] += a[j][c]
-                for r in range(m):
-                    a[r][i] += a[r][j]
-                pivot = i
-            if pivot != t:
-                a[pivot], a[t] = a[t], a[pivot]
-                for r in range(m):
-                    a[r][pivot], a[r][t] = a[r][t], a[r][pivot]
-        p = a[t][t]
-        sig += 1 if p > 0 else -1
+    a = [list(row) for row in link.J]
+    prev, sig = 1, 0
+
+    def bareiss(t: int, _v: int) -> None:
+        # Sylvester's identity makes every division exact
+        nonlocal prev, sig
+        p, pivot_row = a[t][t], a[t]
+        sig += 1 if (p > 0) == (prev > 0) else -1
         for r in range(t + 1, m):
-            f = a[r][t] / p
-            if f == 0:
-                continue
-            for c in range(m):
-                a[r][c] -= f * a[t][c]
-            for c in range(m):
-                a[c][r] -= f * a[c][t]
+            row, f = a[r], a[r][t]
+            for c in range(r, m):
+                row[c] = a[c][r] = (p * row[c] - f * pivot_row[c]) // prev
+        prev = p
+
+    _reduce_symmetric(a, _identity(m), lambda x: 0 if x else 1, 1, bareiss)
     return sig
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            pivot = next((r for r in range(t + 1, n) if a[r][t] != 0), None)
-            if pivot is None:
-                return 0
-            a[t], a[pivot] = a[pivot], a[t]
-            sign = -sign
-        for r in range(t + 1, n):
-            for c in range(t + 1, n):
-                a[r][c] = (a[r][c] * a[t][t] - a[r][t] * a[t][c]) // prev
-            a[r][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
 
 
 def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResult:
     """Diagonalize J by a unimodular congruence modulo k = p**e.
 
-    Symmetric elimination over Z/p**e: repeatedly pick a pivot of minimal
-    p-adic valuation in the active block. Diagonal pivots are preferred;
-    when every minimal-valuation entry is off-diagonal at (i, j), one slide
-    (column/row i += column/row j) first moves the minimal valuation onto
-    the diagonal -- the cross term 2*J[i][j] dominates because 2 is a unit
-    and both touched diagonal entries have strictly larger valuation. The
-    pivot then clears its row and column using the inverse of its unit part.
+    Symmetric elimination over Z/p**e with pivots of minimal p-adic
+    valuation; each pivot clears its row and column using the inverse of its
+    unit part. Slides and eliminations keep det(U) and each swap negates it,
+    so an odd swap count is undone by negating the last column of U, which
+    leaves diag(d) as it is.
 
     Returns an exact integer U with det(U) = +1 and the diagonal residues d;
     U^T J U = diag(d) holds entrywise modulo k.
@@ -215,41 +226,11 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
     m = link.m
     k, p, e = ring.k, ring.p, ring.e
     a = [[x % k for x in row] for row in link.J]
-    u = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
+    u = _identity(m)
 
-    def slide(i: int, j: int) -> None:
-        for r in range(m):
-            a[r][i] = (a[r][i] + a[r][j]) % k
-        for c in range(m):
-            a[i][c] = (a[i][c] + a[j][c]) % k
-        for r in range(m):
-            u[r][i] += u[r][j]
-
-    def swap(i: int, t: int) -> None:
-        a[i], a[t] = a[t], a[i]
-        for r in range(m):
-            a[r][i], a[r][t] = a[r][t], a[r][i]
-        for r in range(m):
-            u[r][i], u[r][t] = u[r][t], u[r][i]
-
-    for t in range(m):
-        vmin = min(ring.valuation(a[r][c]) for r in range(t, m) for c in range(t, m))
-        if vmin >= e:
-            break  # remaining block vanishes mod k; d entries stay 0
-        diag = next((i for i in range(t, m) if ring.valuation(a[i][i]) == vmin), None)
-        if diag is None:
-            i, j = next(
-                (r, c)
-                for r in range(t, m)
-                for c in range(t, m)
-                if r != c and ring.valuation(a[r][c]) == vmin
-            )
-            slide(i, j)
-            diag = i
-        if diag != t:
-            swap(diag, t)
-        piv = a[t][t]
-        unit = piv // p**vmin
+    def eliminate(t: int, vmin: int) -> None:
+        # a slide may leave entries at or above k; every result below depends only on residues mod k
+        unit = a[t][t] // p**vmin
         inv = pow(unit, -1, p ** (e - vmin))
         for r in range(t + 1, m):
             x = a[r][t]
@@ -263,10 +244,9 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
             for s in range(m):
                 u[s][r] -= c * u[s][t]
 
-    if _det_int(u) == -1 and m > 0:
-        # negating one column fixes the determinant without touching diag(d)
-        for r in range(m):
-            u[r][m - 1] = -u[r][m - 1]
+    if _reduce_symmetric(a, u, ring.valuation, e, eliminate) % 2:
+        for row in u:
+            row[m - 1] = -row[m - 1]
 
     d = tuple(a[i][i] % k for i in range(m))
     return DiagonalizationResult(U=tuple(tuple(row) for row in u), d=d)

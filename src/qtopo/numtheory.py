@@ -101,10 +101,6 @@ class ModK:
             raise ValueError(f"modulus {k} is not a power of a single odd prime")
         return cls(k=k, p=p, e=e)
 
-    def reduce(self, n: int) -> int:
-        """Canonical representative of n in [0, k)."""
-        return n % self.k
-
     def valuation(self, n: int) -> int:
         """p-adic valuation of n mod k, capped at e (the valuation of 0)."""
         n %= self.k

@@ -61,12 +61,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>| for equally shaped normalized states."""
-        if self.dims != other.dims:
-            raise ValueError(f"register shapes differ: {self.dims} vs {other.dims}")
-        return float(abs(np.vdot(self.amps, other.amps)))
-
 
 def basis_state(dims: tuple[int, ...], index: tuple[int, ...]) -> StateVector:
     amps = np.zeros(math.prod(dims), dtype=np.complex128)

@@ -18,7 +18,7 @@ from qtopo.linkalg import FramedLinkMatrix, blow_up, diagonalize_mod_k, handle_s
 from qtopo.linkgeom import gauss_integral, linking_number, self_linking
 from qtopo.numtheory import ModK, gauss_sum_brute, is_prime, legendre_chi
 from qtopo.qsim import phase_estimate, prepare_legendre_state, gauss_phase_encode, true_phase
-from test_linkalg import random_symmetric
+from test_linkalg import det_int, random_symmetric
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_prime(p)]
 
@@ -87,7 +87,7 @@ def test_criterion_04_diagonalization_contract():
     with criterion(4, "det U = +-1 exactly and U^T J U = diag(d) mod k on all 200 cases", 60.0):
         for link, ring in CASES_3:
             result = diagonalize_mod_k(link, ring)
-            assert result.det() in (1, -1), (link.J, ring.k)
+            assert det_int(result.U) in (1, -1), (link.J, ring.k)
             m = link.m
             u = result.U
             for r in range(m):

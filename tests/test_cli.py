@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geom_helpers import hopf_pair, outward_offsets
+from qtopo import invariants
 from qtopo.cli import main
 from qtopo.linkgeom import PolyLink
 
@@ -124,6 +125,21 @@ class TestCheckCommand:
         assert result.exit_code == 0
         payload = parse(result)
         assert any(c["name"] == "factorized_vs_brute" for c in payload["checks"])
+
+    def test_abelian_runs_the_brute_sum_once(self, runner, hopf_matrix, monkeypatch):
+        calls = []
+        brute_sum = invariants.multivariate_gauss_sum
+
+        def counted(link, *args, **kwargs):
+            calls.append(link.J)
+            return brute_sum(link, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "multivariate_gauss_sum", counted)
+        result = runner.invoke(
+            main, ["check", "--invariant", "abelian", "--k", "5", "--moves", "0", "-i", str(hopf_matrix)]
+        )
+        assert result.exit_code == 0
+        assert calls == [((0, 1), (1, 0))]
 
     def test_empty_script_passes(self, runner, hopf_matrix):
         result = runner.invoke(

@@ -26,6 +26,56 @@ def random_symmetric(rng, m, lo=-5, hi=5):
     return FramedLinkMatrix.from_rows(rows)
 
 
+def det_int(rows) -> int:
+    """Exact integer determinant by row-pivoted Bareiss elimination, independent of qtopo."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            pivot = next((r for r in range(t + 1, n) if a[r][t] != 0), None)
+            if pivot is None:
+                return 0
+            a[t], a[pivot] = a[pivot], a[t]
+            sign = -sign
+        for r in range(t + 1, n):
+            for c in range(t + 1, n):
+                a[r][c] = (a[r][c] * a[t][t] - a[r][t] * a[t][c]) // prev
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def slid_diagonal(seed, m):
+    """A matrix of known signature: a diagonal D congruent by a chain of handle slides.
+
+    D lists nonzero entries up to 10**18 first, then [[0,1],[1,0]] blocks, then
+    zeros. Slides go only over the nonzero-entry components, so once those are
+    eliminated the hyperbolic blocks leave a zero-diagonal block that forces
+    the slide path, and the zeros leave a vanishing block. Each hyperbolic
+    block adds nothing to the inertia.
+    """
+    rng = random.Random(seed)
+    hyperbolic = m // 8
+    zeros = m // 8
+    units = m - 2 * hyperbolic - zeros
+    diag = [rng.choice((1, -1)) * rng.choice((rng.randint(1, 7), rng.randint(10**17, 10**18)))
+            for _ in range(units)]
+    rows = [[0] * m for _ in range(m)]
+    for i, entry in enumerate(diag):
+        rows[i][i] = entry
+    for b in range(units, units + 2 * hyperbolic, 2):
+        rows[b][b + 1] = rows[b + 1][b] = 1
+    link = FramedLinkMatrix.from_rows(rows)
+    for _ in range(2 * m):
+        j = rng.randrange(units)
+        i = rng.choice([c for c in range(m) if c != j])
+        link = handle_slide(link, i, j, rng.choice((1, -1)))
+    return link, sum(1 if x > 0 else -1 for x in diag)
+
+
+SCALE_SEEDS = [(seed, m) for m in (8, 16, 40) for seed in (1, 2)]
+
+
 class TestFramedLinkMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -124,15 +174,13 @@ class TestHandleSlide:
             assert handle_slide(handle_slide(link, i, j, 1), i, j, -1) == link
 
     def test_preserves_determinant(self):
-        from qtopo.linkalg import _det_int
-
         rng = random.Random(11)
         for _ in range(30):
             m = rng.randint(2, 5)
             link = random_symmetric(rng, m)
             i, j = rng.sample(range(m), 2)
             slid = handle_slide(link, i, j, rng.choice((1, -1)))
-            assert _det_int([list(r) for r in link.J]) == _det_int([list(r) for r in slid.J])
+            assert det_int(link.J) == det_int(slid.J)
 
     def test_rejects_self_slide(self):
         with pytest.raises(ValueError):
@@ -181,6 +229,11 @@ class TestSignature:
             for sign in (1, -1):
                 assert signature(blow_up(link, sign)) == signature(link) + sign
 
+    @pytest.mark.parametrize("seed,m", SCALE_SEEDS)
+    def test_inertia_of_slid_diagonal(self, seed, m):
+        link, sig = slid_diagonal(seed, m)
+        assert signature(link) == sig
+
 
 class TestDiagonalizeModK:
     def test_already_diagonal(self):
@@ -189,17 +242,14 @@ class TestDiagonalizeModK:
         assert result.d == (1, 2)
 
     def verify_contract(self, link, ring, result):
-        m = link.m
+        m, k = link.m, ring.k
+        ju = [[sum(link.J[i][j] * result.U[j][c] for j in range(m)) % k for c in range(m)] for i in range(m)]
         for r in range(m):
             for c in range(m):
-                entry = sum(
-                    result.U[i][r] * link.J[i][j] * result.U[j][c]
-                    for i in range(m)
-                    for j in range(m)
-                )
+                entry = sum(result.U[i][r] * ju[i][c] for i in range(m))
                 expected = result.d[r] if r == c else 0
-                assert (entry - expected) % ring.k == 0, (r, c)
-        assert result.det() in (1, -1)
+                assert (entry - expected) % k == 0, (r, c)
+        assert det_int(result.U) in (1, -1)
 
     def test_off_diagonal_pivot(self):
         link = FramedLinkMatrix.from_rows([[0, 1], [1, 0]])
@@ -227,6 +277,13 @@ class TestDiagonalizeModK:
             result = diagonalize_mod_k(link, ring)
             self.verify_contract(link, ring, result)
 
+    @pytest.mark.parametrize("k", [9, 125])
+    @pytest.mark.parametrize("seed,m", SCALE_SEEDS)
+    def test_contract_on_slid_diagonal(self, seed, m, k):
+        link, _ = slid_diagonal(seed, m)
+        ring = ModK.from_modulus(k)
+        self.verify_contract(link, ring, diagonalize_mod_k(link, ring))
+
     def test_gauss_product_matches_brute_sum(self):
         rng = random.Random(77)
         for k in (5, 9, 13):
@@ -247,4 +304,4 @@ class TestDiagonalizeModK:
         ring = ModK.from_modulus(25)
         for _ in range(20):
             link = random_symmetric(rng, 4)
-            assert diagonalize_mod_k(link, ring).det() == 1
+            assert det_int(diagonalize_mod_k(link, ring).U) == 1
