@@ -241,19 +241,18 @@ def self_linking(curve: Curve, offsets: Curve, delta: float) -> int:
     return values[0]
 
 
-def linking_matrix(link: PolyLink, delta: float | None = None) -> FramedLinkMatrix:
+def linking_matrix(link: PolyLink) -> FramedLinkMatrix:
     """Assemble the framed linking matrix of a polygonal link.
 
     Off-diagonal entries are pairwise linking numbers; diagonal entries are
-    framed self-linkings at the link's delta (or the override given here).
+    framed self-linkings at the link's delta.
     Geometry failures are re-raised tagged with the offending components.
     """
-    d = link.delta if delta is None else delta
     m = len(link.components)
     rows = [[0] * m for _ in range(m)]
     for i in range(m):
         try:
-            rows[i][i] = self_linking(link.components[i], link.framings[i], d)
+            rows[i][i] = self_linking(link.components[i], link.framings[i], link.delta)
         except GeometryError as exc:
             raise GeometryError(f"component ({i},{i}): {exc}") from exc
         for j in range(i + 1, m):

@@ -85,20 +85,12 @@ class ModK:
         """Build the context from k alone; rejects k that is not an odd prime power."""
         if k < 3 or k % 2 == 0:
             raise ValueError(f"modulus {k} must be an odd prime power >= 3")
-        p = 3
-        while p * p <= k:
-            if k % p == 0:
-                break
-            p += 2
-        else:
-            p = k
-        e = 0
-        n = k
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n != 1:
+        factors = _prime_factors(k)
+        if len(factors) != 1:
             raise ValueError(f"modulus {k} is not a power of a single odd prime")
+        p, e = factors[0], 1
+        while p**e != k:
+            e += 1
         return cls(k=k, p=p, e=e)
 
     def valuation(self, n: int) -> int:
@@ -130,9 +122,6 @@ class Character:
         table = tuple(legendre_chi(n, k) for n in range(k))
         return cls(k=k, table=table)
 
-    def __call__(self, n: int) -> int:
-        return self.table[n % self.k]
-
 
 def legendre_chi(n: int, k: int) -> int:
     """Legendre symbol (n/k) for an odd prime k, via Euler's criterion.
@@ -151,11 +140,7 @@ def legendre_chi(n: int, k: int) -> int:
 def primitive_root(k: int) -> int:
     """Smallest generator of the multiplicative group mod an odd prime k."""
     require_odd_prime(k)
-    factors = _prime_factors(k - 1)
-    for g in range(2, k):
-        if all(pow(g, (k - 1) // q, k) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root found for {k}")  # unreachable for prime k
+    return next(g for g in range(2, k) if is_generator(g, k))
 
 
 def is_generator(g: int, k: int) -> bool:

@@ -62,17 +62,6 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def basis_state(dims: tuple[int, ...], index: tuple[int, ...]) -> StateVector:
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
-    flat = 0
-    for d, i in zip(dims, index):
-        if not 0 <= i < d:
-            raise ValueError(f"basis index {i} out of range for dimension {d}")
-        flat = flat * d + i
-    amps[flat] = 1.0
-    return StateVector(dims=dims, amps=amps)
-
-
 def apply_unitary(state: StateVector, matrix: np.ndarray, reg: int) -> StateVector:
     """Apply a dense unitary to one register of a (possibly joint) state."""
     if not 0 <= reg < state.regs:
@@ -95,19 +84,6 @@ def qft_matrix(k: int, a: int = 1) -> np.ndarray:
         raise ValueError(f"parameter a={a} is not coprime to k={k}")
     grid = np.outer(np.arange(k), np.arange(k) * (a % k)) % k
     return np.exp(-2.0j * math.pi * grid / k) / math.sqrt(k)
-
-
-def qft_mod_k(state: StateVector, reg: int = 0) -> StateVector:
-    """Quantum Fourier transform (negative-exponent convention) on one register."""
-    if not 0 <= reg < state.regs:
-        raise ValueError(f"register {reg} out of range for {state.regs} registers")
-    return apply_unitary(state, qft_matrix(state.dims[reg]), reg)
-
-
-def qft_mod_k_inverse(state: StateVector, reg: int = 0) -> StateVector:
-    if not 0 <= reg < state.regs:
-        raise ValueError(f"register {reg} out of range for {state.regs} registers")
-    return apply_unitary(state, qft_matrix(state.dims[reg]).conj().T, reg)
 
 
 def legendre_amplitudes(k: int) -> np.ndarray:

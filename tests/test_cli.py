@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geom_helpers import hopf_pair, outward_offsets
+import qtopo
 from qtopo import invariants
 from qtopo.cli import main
 from qtopo.linkgeom import PolyLink
@@ -150,6 +155,19 @@ class TestCheckCommand:
     def test_missing_k_is_config_error(self, runner, hopf_matrix):
         result = runner.invoke(main, ["check", "--invariant", "abelian", "-i", str(hopf_matrix)])
         assert result.exit_code == 2
+
+    def test_abelian_warning_is_printed_once(self, hopf_matrix):
+        # every evaluation warns from the same line, so Python's default filter shows it once
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        src = str(Path(qtopo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtopo.cli", "check", "--invariant", "abelian", "--k", "7",
+             "--moves", "3", "-i", str(hopf_matrix)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert "not 1 mod 4" in proc.stderr
+        assert proc.stderr.count("UserWarning") == 1
 
 
 class TestSimulateCommand:

@@ -76,7 +76,6 @@ class TestMultivariateGaussSum:
         cases = [
             (random_symmetric(rng, 5), 5, Fraction(-1, 5), SumRange.ZERO_TO_KM1),
             (random_symmetric(rng, 4), 7, Fraction(1, 7), SumRange.ONE_TO_KM1),
-            (random_symmetric(rng, 3), 6, Fraction(3, 4), SumRange.ONE_TO_K),
             (random_symmetric(rng, 8), 3, Fraction(1, 4), SumRange.ONE_TWO),
             (FramedLinkMatrix.from_rows([[10**20 + 1]]), 40, Fraction(-1, 5), SumRange.ZERO_TO_KM1),
         ]
@@ -122,16 +121,6 @@ class TestMultivariateGaussSum:
         expected = gauss_sum_brute(5, 1) * gauss_sum_brute(5, 2)
         assert abs(value - expected) < 1e-9
         assert abs(value - (-5)) < 1e-9
-
-    def test_range_shift_is_exact(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            m = rng.randint(1, 3)
-            link = random_symmetric(rng, m)
-            k = rng.choice((3, 5, 7))
-            zero_based = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1)
-            one_based = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ONE_TO_K)
-            assert abs(zero_based - one_based) < 1e-12 * k**m
 
     def test_empty_link(self):
         link = FramedLinkMatrix.from_rows([])

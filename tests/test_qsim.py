@@ -8,15 +8,12 @@ from qtopo.qsim import (
     PhaseEstimate,
     StateVector,
     apply_unitary,
-    basis_state,
     estimate_report,
     gauss_phase_encode,
     legendre_amplitudes,
     phase_estimate,
     prepare_legendre_state,
     qft_matrix,
-    qft_mod_k,
-    qft_mod_k_inverse,
     sample_schedule,
     true_phase,
 )
@@ -26,13 +23,19 @@ def circular_distance(a: float, b: float) -> float:
     return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
 
 
+def basis(k: int, n: int) -> StateVector:
+    amps = np.zeros(k, dtype=np.complex128)
+    amps[n] = 1.0
+    return StateVector(dims=(k,), amps=amps)
+
+
 class TestQft:
     def test_zero_state_goes_uniform(self):
-        out = qft_mod_k(basis_state((3,), (0,)))
+        out = apply_unitary(basis(3, 0), qft_matrix(3), 0)
         assert np.allclose(out.amps, np.full(3, 1 / math.sqrt(3)), atol=1e-12)
 
     def test_one_state_phases(self):
-        out = qft_mod_k(basis_state((3,), (1,)))
+        out = apply_unitary(basis(3, 1), qft_matrix(3), 0)
         w = np.exp(-2j * math.pi / 3)
         expected = np.array([1, w, w**2]) / math.sqrt(3)
         assert np.allclose(out.amps, expected, atol=1e-12)
@@ -43,7 +46,7 @@ class TestQft:
             amps = rng.normal(size=k) + 1j * rng.normal(size=k)
             amps /= np.linalg.norm(amps)
             state = StateVector(dims=(k,), amps=amps)
-            back = qft_mod_k_inverse(qft_mod_k(state))
+            back = apply_unitary(apply_unitary(state, qft_matrix(k), 0), qft_matrix(k).conj().T, 0)
             assert np.abs(back.amps - amps).max() < 1e-12
 
     def test_unitary_norm_drift(self):
@@ -63,7 +66,7 @@ class TestQft:
 
     def test_register_out_of_range(self):
         with pytest.raises(ValueError):
-            qft_mod_k(basis_state((3,), (0,)), reg=1)
+            apply_unitary(basis(3, 0), qft_matrix(3), 1)
 
 
 class TestPrepareLegendreState:
@@ -123,7 +126,7 @@ class TestGaussPhaseEncode:
             gauss_phase_encode(prepare_legendre_state(5), 10)
 
     def test_rejects_non_character_state(self):
-        state = basis_state((5,), (1,))
+        state = basis(5, 1)
         with pytest.raises(ValueError):
             gauss_phase_encode(state, 2)
 
