@@ -1,7 +1,8 @@
 """Command-line front end: JSON link data in, invariant/report JSON out.
 
 Exit codes: 0 success, 2 invalid configuration, 3 input schema or geometry
-error, 4 brute-force guard exceeded, 5 property-check failure. Identical
+error, 4 guard exceeded (too many terms, or a value beyond the float range),
+5 property-check failure. Identical
 configuration and seed produce byte-identical output. The environment
 variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """

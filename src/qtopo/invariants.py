@@ -20,6 +20,7 @@ import enum
 import itertools
 import math
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .linkalg import FramedLinkMatrix, blow_down, blow_up, diagonalize_mod_k, ha
 from .numtheory import ModK, gauss_sum_brute
 
 DEFAULT_GUARD = 10**8
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CHUNK = 1 << 18
 
 Method = Literal["brute", "factorized"]
@@ -189,7 +191,17 @@ def tau_abelian(
     if method == "brute":
         value = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1, guard)
     elif method == "factorized":
+        terms = link.m * k
+        if terms > guard:
+            raise GuardExceeded(f"{link.m}*{k} = {terms} scalar terms exceeds guard {guard}")
         diag = diagonalize_mod_k(link, ring)
+        # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry
+        half_powers = sum(ring.e + ring.valuation(entry) for entry in diag.d)
+        if half_powers * math.log(ring.p) / 2 > _LOG_FLOAT_MAX:
+            raise GuardExceeded(
+                f"|value| = {ring.p}**({half_powers}/2) ~ 1e{half_powers * math.log10(ring.p) / 2:.0f}"
+                " is beyond the float range"
+            )
         value = 1.0 + 0.0j
         for entry in diag.d:
             value *= gauss_sum_brute(k, entry)

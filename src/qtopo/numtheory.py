@@ -119,8 +119,11 @@ class Character:
     @classmethod
     def legendre(cls, k: int) -> "Character":
         require_odd_prime(k)
-        table = tuple(legendre_chi(n, k) for n in range(k))
-        return cls(k=k, table=table)
+        table = [-1] * k
+        table[0] = 0
+        for x in range(1, (k + 1) // 2):  # x and k-x share a square, so half the residues cover them all
+            table[x * x % k] = 1
+        return cls(k=k, table=tuple(table))
 
 
 def legendre_chi(n: int, k: int) -> int:

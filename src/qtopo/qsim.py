@@ -7,10 +7,11 @@ of the ancilla kicks the Legendre character of the main register's residue
 out as a global +-1 phase; the ancilla group must therefore be the image of
 the discrete logarithm, Z_{k-1}, where half the group order is an integer.
 
-Unitaries are applied as dense matrices per register; the discrete-log
-controlled shift is applied as the permutation it is, not compiled to
-elementary gates. Dimension is capped so two-register states stay around
-10^6 amplitudes.
+Fourier transforms are applied as FFTs along the register's axis (the
+dense qft_matrix is their test oracle), the control qubit's gates as dense
+2x2 matrices, and the discrete-log controlled shift as the permutation it
+is, not compiled to elementary gates. Dimension is capped so two-register
+states stay around 10^6 amplitudes.
 
 A StateVector is confined to one worker at a time; independent estimation
 trials draw their generators from numpy SeedSequence spawning.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import Character, discrete_log, gauss_sum_brute, primitive_root, require_odd_prime
+from .numtheory import Character, gauss_sum_brute, primitive_root, require_odd_prime
 
 MAX_DIM = 1024
 
@@ -108,17 +109,25 @@ def prepare_legendre_state(k: int) -> StateVector:
     anc = k - 1
     joint = np.zeros((k, anc), dtype=np.complex128)
     joint[1:, 1] = 1.0 / math.sqrt(k - 1)  # |n>|1>, n uniform over 1..k-1
-
-    f_anc = qft_matrix(anc)
-    joint = joint @ f_anc.T  # Fourier transform the ancilla register
+    joint = np.fft.fft(joint, axis=1)  # Fourier transform the ancilla register
+    joint /= math.sqrt(anc)
 
     g = primitive_root(k)
-    half = (k - 1) // 2
-    for n in range(1, k):
-        shift = half * discrete_log(n, g, k) % anc
-        joint[n] = np.roll(joint[n], shift)
+    dlog = np.zeros(k, dtype=np.int64)
+    x = 1
+    for j in range(anc):  # one walk over the powers of g: dlog[g**j mod k] = j
+        dlog[x] = j
+        x = x * g % k
+    shift = (k - 1) // 2 * dlog % anc  # row 0 holds no amplitude; its shift is 0
+    # np.roll by shift[n] on every row at once: out[n, j] = joint[n, j - shift[n]]
+    source = np.arange(anc) - shift[:, None]
+    source %= anc
+    joint = np.take_along_axis(joint, source, axis=1)
+    del source
 
-    anc_state = f_anc[:, 1]  # the ancilla should return to its Fourier state
+    one = np.zeros(anc, dtype=np.complex128)
+    one[1] = 1.0
+    anc_state = np.fft.fft(one) / math.sqrt(anc)  # the ancilla should return to its Fourier state
     main = joint @ anc_state.conj()
     if np.abs(joint - np.outer(main, anc_state)).max() > 1e-10:
         raise RuntimeError("ancilla is entangled after kickback; cannot discard")
@@ -128,10 +137,11 @@ def prepare_legendre_state(k: int) -> StateVector:
 def gauss_phase_encode(state: StateVector, a: int) -> StateVector:
     """Concentrate the Gauss-sum phase of parameter a onto the character state.
 
-    Applies the Fourier transform with multiplier a; the character identity
-    turns the transformed amplitudes back into the input state scaled by the
-    global factor G(k, a)/sqrt(k). (The follow-up character relabeling in
-    the construction squares the +-1 character and is the identity.)
+    Applies the Fourier transform with multiplier a, qft_matrix(k, a), as
+    an FFT read at index a*s mod k; the character identity turns the
+    transformed amplitudes back into the input state scaled by the global
+    factor G(k, a)/sqrt(k). (The follow-up character relabeling in the
+    construction squares the +-1 character and is the identity.)
     """
     if state.regs != 1:
         raise ValueError("expected a single-register character state")
@@ -141,7 +151,8 @@ def gauss_phase_encode(state: StateVector, a: int) -> StateVector:
     reference = legendre_amplitudes(k)
     if abs(np.vdot(reference, state.amps)) < 1.0 - 1e-10:
         raise ValueError("input state is not the Legendre character state")
-    return apply_unitary(state, qft_matrix(k, a), 0)
+    spectrum = np.fft.fft(state.amps)
+    return StateVector(dims=(k,), amps=spectrum[(a % k) * np.arange(k) % k] / math.sqrt(k))
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,12 @@ def phase_estimate(k: int, a: int, epsilon: float, seed: int = 0) -> PhaseEstima
     character state; measuring the control along the two equatorial bases
     estimates cos(phi) and sin(phi), and phi_hat = atan2 of the two
     frequencies. Shot counts follow sample_schedule(epsilon).
+
+    A Gauss sum's phase is a multiple of pi/2, so in exact arithmetic p_cos
+    or p_sin is exactly 1/2. numpy's binomial sampler branches on p > 0.5,
+    so the last bit of that probability picks which of two equally valid
+    draws a seed gives: any change in how the amplitudes are rounded can
+    move phi_hat under a fixed seed, within the same confidence interval.
     """
     if math.gcd(a, k) != 1:
         raise ValueError(f"a={a} is not coprime to k={k}")

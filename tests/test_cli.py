@@ -253,6 +253,27 @@ class TestExitCodes:
         assert parse(default) == parse(runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1"],
                                                      env={"QTOPO_GUARD": "1009"}))
 
+    def test_factorized_abelian_counts_scalar_terms_against_guard(self, runner, hopf_matrix):
+        args = ["tau-abelian", "--k", "1009", "-i", str(hopf_matrix)]
+        result = runner.invoke(main, args, env={"QTOPO_GUARD": "100"})
+        assert result.exit_code == 4
+        assert "guard exceeded: 2*1009 = 2018 scalar terms" in result.output
+        assert runner.invoke(main, args, env={"QTOPO_GUARD": "2017"}).exit_code == 4
+        default = runner.invoke(main, args)
+        assert default.exit_code == 0
+        assert math.isclose(parse(default)["re"], 1009.0, rel_tol=1e-12)
+        assert default.output == runner.invoke(main, args, env={"QTOPO_GUARD": "2018"}).output
+
+    @pytest.mark.parametrize("m,diagonal", [(206, 1), (103, 0)], ids=["identity-206", "zero-103"])
+    def test_abelian_beyond_float_range_is_4(self, runner, tmp_path, m, diagonal):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"J": [[diagonal * (i == j) for j in range(m)] for i in range(m)]}))
+        result = runner.invoke(main, ["tau-abelian", "--k", "1009", "-i", str(path)])
+        assert result.exit_code == 4
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "guard exceeded: |value| = 1009**(206/2)" in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_input_is_2(self, runner):
         result = runner.invoke(main, ["tau-su2k3", "-i", "no_such_file.json"])
         assert result.exit_code == 2

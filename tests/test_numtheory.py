@@ -54,8 +54,8 @@ class TestLegendreChi:
 
 class TestCharacter:
     def test_table_matches_pointwise(self):
-        chi = Character.legendre(7)
-        assert chi.table == tuple(legendre_chi(n, 7) for n in range(7))
+        for k in [p for p in range(3, 200) if is_prime(p)] + [1009, 1021]:
+            assert Character.legendre(k).table == tuple(legendre_chi(n, k) for n in range(k))
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ class TestPrepareLegendreState:
             assert state.amps[0] == 0.0
 
     def test_matches_character_table(self):
-        for k in (7, 11):
+        for k in (7, 11, 101, 131, 137, 1009, 1019, 1021):
             assert np.abs(prepare_legendre_state(k).amps - legendre_amplitudes(k)).max() < 1e-10
 
     @pytest.mark.parametrize("k", [4, 9, 15, 2])
@@ -120,6 +120,14 @@ class TestGaussPhaseEncode:
                 assert abs(abs(overlap) - 1.0) < 1e-9
                 expected = gauss_sum_brute(k, a) / math.sqrt(k)
                 assert circular_distance(float(np.angle(overlap)), float(np.angle(expected))) < 1e-9
+
+    # 131 and 1019 are 3 mod 4, where G(k, a) is imaginary: a transform of the wrong sign shows only there
+    @pytest.mark.parametrize("k", [101, 131, 137, 1009, 1019, 1021])
+    def test_matches_dense_fourier_matrix(self, k):
+        chi = prepare_legendre_state(k)
+        for a in (1, 2, k - 1, 4 * k - 3, -3):
+            dense = apply_unitary(chi, qft_matrix(k, a), 0)
+            assert np.abs(gauss_phase_encode(chi, a).amps - dense.amps).max() < 1e-12
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
