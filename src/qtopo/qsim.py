@@ -10,8 +10,10 @@ the discrete logarithm, Z_{k-1}, where half the group order is an integer.
 Fourier transforms are applied as FFTs along the register's axis (the
 dense qft_matrix is their test oracle), the control qubit's gates as dense
 2x2 matrices, and the discrete-log controlled shift as the permutation it
-is, not compiled to elementary gates. Dimension is capped so two-register
-states stay around 10^6 amplitudes.
+is, not compiled to elementary gates. The kickback's two-register state is
+never held whole: it is streamed in blocks of rows of about 1 MiB, so memory
+grows as O(k). Dimension stays capped at MAX_DIM, which keeps the k(k-1)
+amplitudes streamed per preparation around 10^6.
 
 A StateVector is confined to one worker at a time; independent estimation
 trials draw their generators from numpy SeedSequence spawning.
@@ -27,6 +29,10 @@ import numpy as np
 from .numtheory import Character, gauss_sum_brute, primitive_root, require_odd_prime
 
 MAX_DIM = 1024
+
+# Rows of the kickback's joint state are built and checked this many amplitudes
+# at a time: 1 MiB of complex128.
+_BLOCK_AMPLITUDES = 1 << 16
 
 # Sample schedule: per measurement basis, ceil(8*ln(40)/eps**2) shots give
 # joint 95% confidence that the estimated phase is within eps (Hoeffding on
@@ -58,9 +64,6 @@ class StateVector:
     @property
     def k(self) -> int:
         return self.dims[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def apply_unitary(state: StateVector, matrix: np.ndarray, reg: int) -> StateVector:
@@ -102,15 +105,22 @@ def prepare_legendre_state(k: int) -> StateVector:
     ancilla is an eigenvector of every shift, so each branch only acquires
     the phase (-1)^dlog(n) = chi(n). After checking the registers are
     unentangled (to 1e-10) the ancilla is projected out.
+
+    The joint (k, k-1) state is never held whole. Before the shift it is a
+    product, so the ancilla is transformed once; the shifted rows are then
+    built, projected and checked one block of _BLOCK_AMPLITUDES at a time.
+    Row 0 holds no amplitude and projects to 0.
     """
     require_odd_prime(k)
     if k > MAX_DIM:
         raise ValueError(f"k={k} exceeds the simulator cap {MAX_DIM}")
     anc = k - 1
-    joint = np.zeros((k, anc), dtype=np.complex128)
-    joint[1:, 1] = 1.0 / math.sqrt(k - 1)  # |n>|1>, n uniform over 1..k-1
-    joint = np.fft.fft(joint, axis=1)  # Fourier transform the ancilla register
-    joint /= math.sqrt(anc)
+    one = np.zeros(anc, dtype=np.complex128)
+    one[1] = 1.0
+    anc_state = np.fft.fft(one) / math.sqrt(anc)  # the ancilla should return to its Fourier state
+    # every row n >= 1 of |n>|1>, n uniform over 1..k-1, after the ancilla's Fourier transform
+    row = np.fft.fft(one / math.sqrt(k - 1))
+    row /= math.sqrt(anc)
 
     g = primitive_root(k)
     dlog = np.zeros(k, dtype=np.int64)
@@ -118,19 +128,19 @@ def prepare_legendre_state(k: int) -> StateVector:
     for j in range(anc):  # one walk over the powers of g: dlog[g**j mod k] = j
         dlog[x] = j
         x = x * g % k
-    shift = (k - 1) // 2 * dlog % anc  # row 0 holds no amplitude; its shift is 0
-    # np.roll by shift[n] on every row at once: out[n, j] = joint[n, j - shift[n]]
-    source = np.arange(anc) - shift[:, None]
-    source %= anc
-    joint = np.take_along_axis(joint, source, axis=1)
-    del source
+    shift = (k - 1) // 2 * dlog % anc
 
-    one = np.zeros(anc, dtype=np.complex128)
-    one[1] = 1.0
-    anc_state = np.fft.fft(one) / math.sqrt(anc)  # the ancilla should return to its Fourier state
-    main = joint @ anc_state.conj()
-    if np.abs(joint - np.outer(main, anc_state)).max() > 1e-10:
-        raise RuntimeError("ancilla is entangled after kickback; cannot discard")
+    anc_conj = anc_state.conj()
+    main = np.zeros(k, dtype=np.complex128)
+    rows = _BLOCK_AMPLITUDES // anc
+    for start in range(1, k, rows):
+        stop = min(start + rows, k)
+        # np.roll by shift[n] on every row n: block[n, j] = row[j - shift[n]], a negative index wrapping
+        block = row[np.arange(anc) - shift[start:stop, None]]
+        main[start:stop] = block @ anc_conj
+        block -= np.outer(main[start:stop], anc_state)
+        if np.abs(block).max() > 1e-10:
+            raise RuntimeError("ancilla is entangled after kickback; cannot discard")
     return StateVector(dims=(k,), amps=main)
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qtopo.numtheory import gauss_sum_brute
+from qtopo import qsim
+from qtopo.numtheory import gauss_sum_brute, primitive_root
 from qtopo.qsim import (
     PhaseEstimate,
     StateVector,
@@ -27,6 +29,32 @@ def basis(k: int, n: int) -> StateVector:
     amps = np.zeros(k, dtype=np.complex128)
     amps[n] = 1.0
     return StateVector(dims=(k,), amps=amps)
+
+
+def dense_legendre_state(k: int) -> np.ndarray:
+    """Oracle for the streamed kickback: the whole (k, k-1) joint state, shifted and projected at once."""
+    anc = k - 1
+    joint = np.zeros((k, anc), dtype=np.complex128)
+    joint[1:, 1] = 1.0 / math.sqrt(k - 1)  # |n>|1>, n uniform over 1..k-1
+    joint = np.fft.fft(joint, axis=1)  # Fourier transform the ancilla register
+    joint /= math.sqrt(anc)
+
+    g = primitive_root(k)
+    dlog = np.zeros(k, dtype=np.int64)
+    x = 1
+    for j in range(anc):
+        dlog[x] = j
+        x = x * g % k
+    shift = (k - 1) // 2 * dlog % anc  # row 0 holds no amplitude; its shift is 0
+    # np.roll by shift[n] on every row at once: out[n, j] = joint[n, j - shift[n]]
+    joint = np.take_along_axis(joint, (np.arange(anc) - shift[:, None]) % anc, axis=1)
+
+    one = np.zeros(anc, dtype=np.complex128)
+    one[1] = 1.0
+    anc_state = np.fft.fft(one) / math.sqrt(anc)
+    main = joint @ anc_state.conj()
+    assert np.abs(joint - np.outer(main, anc_state)).max() <= 1e-10
+    return main
 
 
 class TestQft:
@@ -58,7 +86,7 @@ class TestQft:
         for _ in range(100):
             a = int(rng.choice([x for x in range(1, k) if math.gcd(x, k) == 1]))
             state = apply_unitary(state, qft_matrix(k, a), 0)
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
 
     def test_scaled_matrix_requires_coprime_parameter(self):
         with pytest.raises(ValueError):
@@ -83,7 +111,7 @@ class TestPrepareLegendreState:
     def test_normalized_with_zero_vacancy(self):
         for k in (3, 5, 7, 11, 13):
             state = prepare_legendre_state(k)
-            assert abs(state.norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
             assert state.amps[0] == 0.0
 
     def test_matches_character_table(self):
@@ -94,6 +122,49 @@ class TestPrepareLegendreState:
     def test_rejects_non_prime(self, k):
         with pytest.raises(ValueError):
             prepare_legendre_state(k)
+
+
+# 3 fits in one block of rows; 1009, 1019 and 1021 end on a partial block
+STREAMED_KS = (3, 5, 7, 11, 101, 131, 1009, 1019, 1021)
+
+
+class TestStreamedKickback:
+    def test_cases_cover_one_block_and_partial_blocks(self):
+        rows = {k: qsim._BLOCK_AMPLITUDES // (k - 1) for k in STREAMED_KS}
+        assert any(k - 1 <= rows[k] for k in STREAMED_KS)
+        assert any(k - 1 > rows[k] and (k - 1) % rows[k] for k in STREAMED_KS)
+
+    @pytest.mark.parametrize("k", STREAMED_KS)
+    def test_matches_dense_kickback(self, k):
+        assert np.abs(prepare_legendre_state(k).amps - dense_legendre_state(k)).max() <= 1e-15
+
+    def test_entanglement_is_checked_past_the_first_block(self, monkeypatch):
+        # a cyclic shift of a Fourier state never entangles, so corrupt the product
+        # that the check subtracts, in every block but the first
+        real_outer = np.outer
+        blocks = []
+
+        def outer(a, b):
+            out = real_outer(a, b)
+            blocks.append(len(a))
+            if len(blocks) > 1:
+                out[-1, -1] += 1e-9
+            return out
+
+        monkeypatch.setattr(np, "outer", outer)
+        with pytest.raises(RuntimeError, match="entangled"):
+            prepare_legendre_state(1021)
+        assert len(blocks) > 1
+
+    def test_peak_memory_stays_below_a_dense_joint(self):
+        prepare_legendre_state(1021)  # warm-up: FFT plan caches
+        tracemalloc.start()
+        try:
+            prepare_legendre_state(1021)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # the dense (1021, 1020) joint and its temporaries peaked at 47.7 MiB
 
 
 class TestGaussPhaseEncode:
