@@ -10,10 +10,9 @@ the discrete logarithm, Z_{k-1}, where half the group order is an integer.
 Fourier transforms are applied as FFTs along the register's axis (the
 dense qft_matrix is their test oracle), the control qubit's gates as dense
 2x2 matrices, and the discrete-log controlled shift as the permutation it
-is, not compiled to elementary gates. The kickback's two-register state is
-never held whole: it is streamed in blocks of rows of about 1 MiB, so memory
-grows as O(k). Dimension stays capped at MAX_DIM, which keeps the k(k-1)
-amplitudes streamed per preparation around 10^6.
+is, not compiled to elementary gates. That shift takes only two values, so
+the kickback's two-register state has only two distinct rows: each is built,
+projected and checked once, and time and memory grow as O(k).
 
 A StateVector is confined to one worker at a time; independent estimation
 trials draw their generators from numpy SeedSequence spawning.
@@ -28,11 +27,10 @@ import numpy as np
 
 from .numtheory import Character, gauss_sum_brute, primitive_root, require_odd_prime
 
+# Largest simulated register dimension, part of simulate's documented interface. The
+# simulation is O(k); the cap keeps the dense k x k oracles that the tests compare it
+# with (qft_matrix, the whole kickback joint state) near 10^6 amplitudes.
 MAX_DIM = 1024
-
-# Rows of the kickback's joint state are built and checked this many amplitudes
-# at a time: 1 MiB of complex128.
-_BLOCK_AMPLITUDES = 1 << 16
 
 # Sample schedule: per measurement basis, ceil(8*ln(40)/eps**2) shots give
 # joint 95% confidence that the estimated phase is within eps (Hoeffding on
@@ -106,10 +104,11 @@ def prepare_legendre_state(k: int) -> StateVector:
     the phase (-1)^dlog(n) = chi(n). After checking the registers are
     unentangled (to 1e-10) the ancilla is projected out.
 
-    The joint (k, k-1) state is never held whole. Before the shift it is a
-    product, so the ancilla is transformed once; the shifted rows are then
-    built, projected and checked one block of _BLOCK_AMPLITUDES at a time.
-    Row 0 holds no amplitude and projects to 0.
+    Before the shift the joint (k, k-1) state is a product, so the ancilla
+    is transformed once. Every row n >= 1 is then that one row rolled by
+    the shift of n, and equal shifts give equal rows: each distinct row is
+    built, projected and checked once, and its amplitude goes to every
+    residue with that shift. Row 0 holds no amplitude and projects to 0.
     """
     require_odd_prime(k)
     if k > MAX_DIM:
@@ -130,17 +129,15 @@ def prepare_legendre_state(k: int) -> StateVector:
         x = x * g % k
     shift = (k - 1) // 2 * dlog % anc
 
-    anc_conj = anc_state.conj()
+    shifts, branch = np.unique(shift[1:], return_inverse=True)
+    # np.roll by each distinct shift s: rows[b, j] = row[j - shifts[b]], a negative index wrapping
+    rows = row[np.arange(anc) - shifts[:, None]]
+    amps = rows @ anc_state.conj()
+    rows -= np.outer(amps, anc_state)
+    if np.abs(rows).max() > 1e-10:
+        raise RuntimeError("ancilla is entangled after kickback; cannot discard")
     main = np.zeros(k, dtype=np.complex128)
-    rows = _BLOCK_AMPLITUDES // anc
-    for start in range(1, k, rows):
-        stop = min(start + rows, k)
-        # np.roll by shift[n] on every row n: block[n, j] = row[j - shift[n]], a negative index wrapping
-        block = row[np.arange(anc) - shift[start:stop, None]]
-        main[start:stop] = block @ anc_conj
-        block -= np.outer(main[start:stop], anc_state)
-        if np.abs(block).max() > 1e-10:
-            raise RuntimeError("ancilla is entangled after kickback; cannot discard")
+    main[1:] = amps[branch]
     return StateVector(dims=(k,), amps=main)
 
 

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtopo import qsim
 from qtopo.numtheory import gauss_sum_brute, primitive_root
 from qtopo.qsim import (
     PhaseEstimate,
@@ -32,7 +31,7 @@ def basis(k: int, n: int) -> StateVector:
 
 
 def dense_legendre_state(k: int) -> np.ndarray:
-    """Oracle for the streamed kickback: the whole (k, k-1) joint state, shifted and projected at once."""
+    """Oracle for the kickback: the whole (k, k-1) joint state, shifted and projected at once."""
     anc = k - 1
     joint = np.zeros((k, anc), dtype=np.complex128)
     joint[1:, 1] = 1.0 / math.sqrt(k - 1)  # |n>|1>, n uniform over 1..k-1
@@ -124,37 +123,26 @@ class TestPrepareLegendreState:
             prepare_legendre_state(k)
 
 
-# 3 fits in one block of rows; 1009, 1019 and 1021 end on a partial block
-STREAMED_KS = (3, 5, 7, 11, 101, 131, 1009, 1019, 1021)
-
-
 class TestStreamedKickback:
-    def test_cases_cover_one_block_and_partial_blocks(self):
-        rows = {k: qsim._BLOCK_AMPLITUDES // (k - 1) for k in STREAMED_KS}
-        assert any(k - 1 <= rows[k] for k in STREAMED_KS)
-        assert any(k - 1 > rows[k] and (k - 1) % rows[k] for k in STREAMED_KS)
-
-    @pytest.mark.parametrize("k", STREAMED_KS)
+    @pytest.mark.parametrize("k", [3, 5, 7, 11, 101, 131, 1009, 1019, 1021])
     def test_matches_dense_kickback(self, k):
-        assert np.abs(prepare_legendre_state(k).amps - dense_legendre_state(k)).max() <= 1e-15
+        assert np.array_equal(prepare_legendre_state(k).amps, dense_legendre_state(k))
 
-    def test_entanglement_is_checked_past_the_first_block(self, monkeypatch):
-        # a cyclic shift of a Fourier state never entangles, so corrupt the product
-        # that the check subtracts, in every block but the first
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_entanglement_is_checked_on_every_branch(self, monkeypatch, branch):
+        # a cyclic shift of a Fourier state never entangles, so corrupt the product that the
+        # check subtracts, in one branch's row only
         real_outer = np.outer
-        blocks = []
 
         def outer(a, b):
             out = real_outer(a, b)
-            blocks.append(len(a))
-            if len(blocks) > 1:
-                out[-1, -1] += 1e-9
+            assert len(a) == 2  # one row per distinct shift: 0 and (k-1)/2
+            out[branch, -1] += 1e-9
             return out
 
         monkeypatch.setattr(np, "outer", outer)
         with pytest.raises(RuntimeError, match="entangled"):
             prepare_legendre_state(1021)
-        assert len(blocks) > 1
 
     def test_peak_memory_stays_below_a_dense_joint(self):
         prepare_legendre_state(1021)  # warm-up: FFT plan caches
