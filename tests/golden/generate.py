@@ -99,7 +99,7 @@ def _cases() -> list[dict]:
         for method in ("factorized", "brute"):
             for name in MATRICES + ["poly-hopf", "poly-split"]:
                 add(["tau-abelian", "--k", str(k), "--method", method, "-i", "{input}"], name)
-    for k in ("1", "2", "15", "-5", "1009", "3486784401"):
+    for k in ("1", "2", "15", "-5", "1009", "3486784401", str(3**100)):
         add(["tau-abelian", "--k", k, "-i", "{input}"], "hopf")
     add(["tau-abelian", "--k", "9", "--method", "brute", "-i", "{input}"], "zero-12")
     add(["tau-abelian", "--k", "1009", "-i", "{input}"], "hopf", guard="100")
@@ -125,6 +125,7 @@ def _cases() -> list[dict]:
             for method in ("brute", "closed"):
                 add(["gauss-sum", "--k", str(k), "--a", str(a), "--method", method])
     add(["gauss-sum", "--k", "1", "--a", "1"])
+    add(["gauss-sum", "--k", "1000000000000000003", "--a", "2", "--method", "closed"])
     add(["gauss-sum", "--k", "1009", "--a", "1"], guard="100")
     add(["gauss-sum", "--k", "1009", "--a", "1", "--method", "closed"], guard="100")
     add(["gauss-sum", "--k", "5"])
