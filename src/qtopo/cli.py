@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 2 invalid configuration, 3 input schema or geometry
 error, 4 guard exceeded (too many terms, or a value beyond the float range),
-5 property-check failure. Identical
+5 property-check failure. Invalid configuration includes a negative
+simulate --seed, a simulate --eps whose shot count is beyond the int64 range
+(eps below about 1.8e-9), and a modulus or prime of 3.3e24 or more, beyond
+which primality is not proven. check counts a random move script's terms
+against the guard before it builds the script. Identical
 configuration and seed produce byte-identical output. The environment
 variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """
@@ -234,7 +238,7 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
 @click.option("--a", type=int, required=True, help="Gauss-sum parameter, coprime to k.")
 @click.option("--eps", "epsilon", type=float, default=0.05, show_default=True,
               callback=_checked_by(qsim.sample_schedule), help="Target phase error.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_output_opt
 @_exit_codes
 def simulate_cmd(k: int, a: int, epsilon: float, seed: int, output_path: Path | None) -> None:

@@ -424,6 +424,9 @@ def check_kirby_invariance(
     and the modulus asserted to rescale by sqrt(k) per net blow-up. dw: only
     handle slides are asserted (for the full summation range); blow-up
     behavior is recorded in the notes, not asserted.
+
+    A random script of n moves is counted against the guard before it is
+    built, as n + 1 evaluations of the largest sum it could reach.
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
@@ -442,6 +445,13 @@ def check_kirby_invariance(
             raise GuardExceeded(f"guard {guard} admits no terms")
         else:
             m_cap = max(link.m, int(math.log(min(guard, 10**6), k)))
+        # each move changes m by at most one, so no evaluation sums more than width**m_top terms
+        width = 2 if invariant == "su2k3" else k
+        m_top = max(link.m, min(m_cap, link.m + moves))
+        evaluations = max(moves, 0) + 1
+        total = evaluations * width**m_top
+        if total > guard:
+            raise GuardExceeded(f"{evaluations} evaluations * {width}**{m_top} = {total} terms exceeds guard {guard}")
         script = make_move_script(link, moves, seed, m_cap=m_cap)
     else:
         script = list(moves)

@@ -52,9 +52,6 @@ class FramedLinkMatrix:
     def m(self) -> int:
         return len(self.J)
 
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "J": [list(row) for row in self.J]})
-
     @classmethod
     def from_json_dict(cls, data: object) -> "FramedLinkMatrix":
         """Parse and validate the {"m": int, "J": [[int,...],...]} schema."""

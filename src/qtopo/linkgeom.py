@@ -9,6 +9,12 @@ numerical error is rounding, and the pre-rounding residual is checked.
 
 Self-linking of a framed curve is the linking number with its push-off
 C + delta * offsets, required to be stable under halving delta twice.
+
+Linking numbers do not change under translation or a positive scaling, so
+both linking_matrix and linking_number first centre the curves' bounding
+box at the origin and scale its longest side to 1 (delta alike). The
+tolerances below are therefore relative to the curves' extent, and no
+coordinate can overflow in the checks at any scale.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ import numpy as np
 from .errors import GeometryError, SchemaError
 from .linkalg import FramedLinkMatrix
 
-# Hard floor on segment separation; below this the direction map is
-# numerically meaningless and the curves may as well intersect.
+# Floor on segment separation, relative to the extent of the curves checked;
+# below it the direction map is numerically meaningless and the curves may as
+# well intersect.
 MIN_SEPARATION = 1e-9
 
 # Pre-rounding distance to the nearest integer that we accept as exact.
@@ -99,16 +106,16 @@ class PolyLink:
             raise SchemaError(f"/: invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "components": [
-                    {"points": c.tolist(), "offsets": o.tolist()}
-                    for c, o in zip(self.components, self.framings)
-                ],
-                "delta": self.delta,
-            }
-        )
+
+def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], float]:
+    """The curves with their bounding box centred at the origin and its longest side 1, and delta scaled alike."""
+    pts = np.concatenate(curves)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    half = float((hi / 2 - lo / 2).max())  # halves first, as hi - lo can overflow
+    if not 0.0 < half < math.inf:
+        raise GeometryError(f"the curves' extent {2 * half} is not a positive finite length")
+    centre = lo / 2 + hi / 2
+    return [(np.asarray(c, dtype=float) - centre) / half / 2 for c in curves], delta / half / 2
 
 
 def _segments(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +164,9 @@ def _check_disjoint(a: Curve, b: Curve, label: str) -> None:
     for i in range(len(a0)):
         for j in range(len(b0)):
             if _segment_distance(a0[i], a1[i], b0[j], b1[j]) <= MIN_SEPARATION:
-                raise GeometryError(f"{label}: curves pass within {MIN_SEPARATION} of each other")
+                raise GeometryError(
+                    f"{label}: curves pass within {MIN_SEPARATION} of each other, relative to their extent"
+                )
 
 
 def _triangle_solid_angle(a, b, c) -> np.ndarray:
@@ -203,11 +212,10 @@ def linking_number(a: Curve, b: Curve) -> int:
     """Linking number of two disjoint closed polygonal curves.
 
     Evaluates the Gauss integral via exact solid angles and rounds; raises
-    GeometryError if the curves nearly touch or the pre-rounding residual
-    exceeds the integer tolerance.
+    GeometryError if the curves nearly touch, relative to the pair's extent,
+    or the pre-rounding residual exceeds the integer tolerance.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    (a, b), _ = _normalized([a, b])
     _check_embedded(a, "first curve")
     _check_embedded(b, "second curve")
     _check_disjoint(a, b, "curve pair")
@@ -245,19 +253,22 @@ def linking_matrix(link: PolyLink) -> FramedLinkMatrix:
     """Assemble the framed linking matrix of a polygonal link.
 
     Off-diagonal entries are pairwise linking numbers; diagonal entries are
-    framed self-linkings at the link's delta.
+    framed self-linkings at the link's delta, both on the normalized link.
     Geometry failures are re-raised tagged with the offending components.
     """
     m = len(link.components)
+    if m == 0:
+        return FramedLinkMatrix.from_rows([])
+    curves, delta = _normalized(list(link.components), link.delta)
     rows = [[0] * m for _ in range(m)]
     for i in range(m):
         try:
-            rows[i][i] = self_linking(link.components[i], link.framings[i], link.delta)
+            rows[i][i] = self_linking(curves[i], link.framings[i], delta)
         except GeometryError as exc:
             raise GeometryError(f"component ({i},{i}): {exc}") from exc
         for j in range(i + 1, m):
             try:
-                lk = linking_number(link.components[i], link.components[j])
+                lk = linking_number(curves[i], curves[j])
             except GeometryError as exc:
                 raise GeometryError(f"components ({i},{j}): {exc}") from exc
             rows[i][j] = rows[j][i] = lk

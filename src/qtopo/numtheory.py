@@ -16,19 +16,19 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# Witness set making Miller-Rabin deterministic for n < 3.3e24.
+# Witness set making Miller-Rabin deterministic for n < _PROVEN_BELOW (about 3.3e24).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PROVEN_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
-    if n < 2:
+    if n <= _MR_WITNESSES[-1]:
+        return n in _MR_WITNESSES
+    if any(n % w == 0 for w in _MR_WITNESSES):
         return False
-    for w in _MR_WITNESSES:
-        if n == w:
-            return True
-        if n % w == 0:
-            return False
+    if n < 41 * 41:  # no prime factor up to 37, so not composite
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -47,7 +47,9 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(k: int) -> None:
-    """Raise ValueError unless k is an odd prime."""
+    """Raise ValueError unless k is an odd prime below 3.3e24, where is_prime is exact."""
+    if k >= _PROVEN_BELOW:
+        raise ValueError(f"{k} is not below {_PROVEN_BELOW:.2g}, where primality is proven")
     if k < 3 or k % 2 == 0 or not is_prime(k):
         raise ValueError(f"{k} is not an odd prime")
 
@@ -82,16 +84,27 @@ class ModK:
 
     @classmethod
     def from_modulus(cls, k: int) -> "ModK":
-        """Build the context from k alone; rejects k that is not an odd prime power."""
+        """Build the context from k alone; rejects k that is not an odd prime power below 3.3e24.
+
+        The prime is the root of k of the largest exact exponent: at most 81
+        rounded float roots, exact for a perfect power below 3.3e24, and one
+        primality test, so it answers at once at any k.
+        """
         if k < 3 or k % 2 == 0:
             raise ValueError(f"modulus {k} must be an odd prime power >= 3")
-        factors = _prime_factors(k)
-        if len(factors) != 1:
-            raise ValueError(f"modulus {k} is not a power of a single odd prime")
-        p, e = factors[0], 1
-        while p**e != k:
-            e += 1
-        return cls(k=k, p=p, e=e)
+        if k >= _PROVEN_BELOW:
+            raise ValueError(f"modulus {k} is not below {_PROVEN_BELOW:.2g}, where primality is proven")
+        p, e = k, 1
+        for f in range(2, k.bit_length()):
+            root = round(k ** (1.0 / f))
+            if root < 3:
+                break
+            if root**f == k:
+                p, e = root, f
+        try:
+            return cls(k=k, p=p, e=e)  # checks that p is prime
+        except ValueError:
+            raise ValueError(f"modulus {k} is not a power of a single odd prime") from None
 
     def valuation(self, n: int) -> int:
         """p-adic valuation of n mod k, capped at e (the valuation of 0)."""

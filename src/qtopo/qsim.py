@@ -178,10 +178,17 @@ class PhaseEstimate:
 
 
 def sample_schedule(epsilon: float) -> int:
-    """Shots per basis for a phase error below epsilon at 95% confidence."""
+    """Shots per basis for a phase error below epsilon at 95% confidence.
+
+    numpy's binomial sampler takes an int64 shot count, drawn in O(1) at any
+    size, so epsilon below about 1.8e-9 is rejected.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return math.ceil(_SCHEDULE_CONST / epsilon**2)
+    shots = _SCHEDULE_CONST / epsilon**2 if epsilon**2 > 0.0 else math.inf
+    if not shots < 2**63:
+        raise ValueError(f"epsilon={epsilon} needs {shots:.3g} shots per basis, beyond the int64 range")
+    return math.ceil(shots)
 
 
 def phase_estimate(k: int, a: int, epsilon: float, seed: int = 0) -> PhaseEstimate:

@@ -8,6 +8,8 @@ transversal crossings between the two curves, read each sign off the frame
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -36,6 +38,12 @@ def square(side=2.0, center=(0.0, 0.0, 0.0), plane="xy"):
 def hopf_pair():
     """Unit squares in the xy- and xz-planes, interlocked through the origin."""
     return square(side=2.0, plane="xy"), square(side=2.0, center=(1.0, 0.0, 0.0), plane="xz")
+
+
+def polylink_json(link) -> str:
+    """The polygonal-link JSON document of a PolyLink."""
+    components = [{"points": c.tolist(), "offsets": o.tolist()} for c, o in zip(link.components, link.framings)]
+    return json.dumps({"components": components, "delta": link.delta})
 
 
 def outward_offsets(curve):

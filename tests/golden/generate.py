@@ -99,7 +99,7 @@ def _cases() -> list[dict]:
         for method in ("factorized", "brute"):
             for name in MATRICES + ["poly-hopf", "poly-split"]:
                 add(["tau-abelian", "--k", str(k), "--method", method, "-i", "{input}"], name)
-    for k in ("1", "2", "15", "-5", "1009", "3486784401", str(3**100)):
+    for k in ("1", "2", "15", "-5", "1009", "3486784401", "1000000000000000003", str(3**100)):
         add(["tau-abelian", "--k", k, "-i", "{input}"], "hopf")
     add(["tau-abelian", "--k", "9", "--method", "brute", "-i", "{input}"], "zero-12")
     add(["tau-abelian", "--k", "1009", "-i", "{input}"], "hopf", guard="100")
@@ -154,6 +154,7 @@ def _cases() -> list[dict]:
         add(["check", "--invariant", "dw", "--k", "5", "-i", "{input}"], "unknot-p1", guard=guard)
     add(["check", "--invariant", "dw", "--k", "5", "--moves", "10", "-i", "{input}"], "hopf", guard="200")
     add(["check", "--invariant", "su2k3", "--moves", "10", "-i", "{input}"], "hopf", guard="100")
+    add(["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "{input}"], "hopf")
     for k in (3, 5, 7, 13, 101, 131):
         for a in (1, 2, -1, k + 3):
             for eps, seed in ((0.05, 0), (0.1, 7), (0.3, 42)):

@@ -3,15 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geom_helpers import hopf_pair, outward_offsets
+from geom_helpers import hopf_pair, outward_offsets, polylink_json
 import qtopo
 from qtopo import invariants
 from qtopo.cli import main
@@ -42,7 +43,7 @@ def hopf_polylink(tmp_path):
     a, b = hopf_pair()
     link = PolyLink(components=(a, b), framings=(outward_offsets(a), outward_offsets(b)), delta=0.2)
     path = tmp_path / "hopf_geom.json"
-    path.write_text(link.to_json())
+    path.write_text(polylink_json(link))
     return path
 
 
@@ -203,7 +204,7 @@ class TestExitCodes:
         touching = tmp_path / "touching.json"
         a, _ = hopf_pair()
         link = PolyLink(components=(a,), framings=(np.zeros_like(a),), delta=0.5)
-        touching.write_text(link.to_json())
+        touching.write_text(polylink_json(link))
         result = runner.invoke(main, ["tau-su2k3", "-i", str(touching)])
         assert result.exit_code == 3
 
@@ -344,6 +345,65 @@ def test_matrix_json_never_gives_a_traceback(tmp_path_factory, doc):
         result = runner.invoke(main, [*args, "-i", str(path)])
         assert result.exit_code in (0, 3, 4), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+_INTS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([1009, 1021, 2**63, 2**64 + 1, -(2**64) - 1, 10**18 + 3, 3**50]),
+)
+# nan, infinities and subnormals included
+_FLOATS = st.one_of(st.floats(), st.floats(min_value=1e-4, max_value=1.0), st.sampled_from([5e-324, 1e-300, 1e-9]))
+
+
+def _choice(*values):
+    return st.sampled_from([*values, "none-of-these"])
+
+
+# command -> (required options, optional options)
+_OPTIONS = {
+    "tau-abelian": ({"--k": _INTS}, {"--method": _choice("brute", "factorized")}),
+    "tau-su2k3": ({}, {}),
+    "tau-dw": ({"--k": _INTS}, {"--range": _choice("paper", "full")}),
+    "gauss-sum": ({"--k": _INTS, "--a": _INTS}, {"--method": _choice("brute", "closed")}),
+    "linking-matrix": ({}, {}),
+    "check": ({"--invariant": _choice("abelian", "su2k3", "dw")},
+              {"--k": _INTS, "--range": _choice("paper", "full"), "--moves": _INTS, "--seed": _INTS}),
+    "simulate": ({"--k": _INTS, "--a": _INTS}, {"--eps": _FLOATS, "--seed": _INTS}),
+}
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional = _OPTIONS[command]
+    options = draw(st.fixed_dictionaries(required, optional=optional))
+    args = [command, *(str(x) for item in options.items() for x in item)]
+    if command not in ("gauss-sum", "simulate"):
+        args += ["-i", draw(st.sampled_from(["hopf.json", "hopf_geom.json"]))]
+    if draw(st.booleans()):
+        args += ["-o", "out.json"]
+    return args
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(args=_invocations(), guard=st.just("10000"))
+@example(args=["simulate", "--k", "5", "--a", "1", "--seed", "-1"], guard=None)
+@example(args=["simulate", "--k", "5", "--a", "1", "--eps", "1e-9"], guard=None)
+@example(args=["simulate", "--k", "5", "--a", "1", "--eps", "1e-300"], guard=None)
+@example(args=["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "hopf.json"], guard=None)
+@example(args=["tau-abelian", "--k", "1000000000000000003", "-i", "hopf.json"], guard=None)
+def test_no_option_gives_a_traceback(tmp_path_factory, args, guard):
+    base = tmp_path_factory.getbasetemp()
+    (base / "hopf.json").write_text(json.dumps({"m": 2, "J": [[0, 1], [1, 0]]}))
+    a, b = hopf_pair()
+    geometry = PolyLink(components=(a, b), framings=(outward_offsets(a), outward_offsets(b)), delta=0.2)
+    (base / "hopf_geom.json").write_text(polylink_json(geometry))
+    args = [str(base / arg) if arg.endswith(".json") else arg for arg in args]
+    result = CliRunner().invoke(main, args, env={"QTOPO_GUARD": guard})
+    assert result.exit_code in (0, 2, 3, 4, 5), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 class TestDeterminism:

@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geom_helpers import (
     crossing_count_linking,
     hopf_pair,
     outward_offsets,
+    polylink_json,
     ring,
     square,
     twisted_offsets,
@@ -168,6 +171,13 @@ def hopf_polylink(delta=0.2):
     )
 
 
+def unit_twisted_pair():
+    c1 = ring(n=16, radius=2.0)
+    c2 = ring(n=16, radius=2.0, center=(10.0, 0.0, 0.0))
+    turns = -1  # sense chosen to give +1 framing in this orientation
+    return PolyLink(components=(c1, c2), framings=(twisted_offsets(c1, turns), twisted_offsets(c2, turns)), delta=0.2)
+
+
 class TestLinkingMatrix:
     def test_hopf_untwisted(self):
         mat = linking_matrix(hopf_polylink())
@@ -181,15 +191,7 @@ class TestLinkingMatrix:
         assert linking_matrix(link).J == ((0,),)
 
     def test_split_pair_with_unit_twists(self):
-        c1 = ring(n=16, radius=2.0)
-        c2 = ring(n=16, radius=2.0, center=(10.0, 0.0, 0.0))
-        turns = -1  # sense chosen to give +1 framing in this orientation
-        link = PolyLink(
-            components=(c1, c2),
-            framings=(twisted_offsets(c1, turns), twisted_offsets(c2, turns)),
-            delta=0.2,
-        )
-        assert linking_matrix(link).J == ((1, 0), (0, 1))
+        assert linking_matrix(unit_twisted_pair()).J == ((1, 0), (0, 1))
 
     def test_errors_tagged_with_component(self):
         a, b = hopf_pair()
@@ -202,10 +204,36 @@ class TestLinkingMatrix:
             linking_matrix(link)
 
 
+def scaled(link, scale):
+    return PolyLink(components=tuple(c * scale for c in link.components), framings=link.framings,
+                    delta=link.delta * scale)
+
+
+class TestScale:
+    # above ~1e154 squared lengths overflowed and every check passed on NaN; below ~1e-9 the
+    # absolute separation floor was larger than the curve
+    @pytest.mark.parametrize("scale", [1e-12, 1e200, 1e300])
+    def test_hopf_link_at_any_scale(self, scale):
+        assert linking_matrix(scaled(hopf_polylink(), scale)).J == linking_matrix(hopf_polylink()).J
+
+    def test_crossing_squares_at_1e200_rejected(self):
+        a, b = square(side=2.0, plane="xy"), square(side=2.0, center=(2.0, 0.0, 0.0), plane="xz")
+        link = PolyLink(components=(a, b), framings=(outward_offsets(a), outward_offsets(b)), delta=0.2)
+        for scale in (1.0, 1e200):
+            with pytest.raises(GeometryError, match=r"components \(0,1\)"):
+                linking_matrix(scaled(link, scale))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(t=st.integers(min_value=-150, max_value=300), which=st.sampled_from(["hopf", "twisted"]))
+    def test_matrix_unchanged_under_scaling(self, t, which):
+        link = hopf_polylink() if which == "hopf" else unit_twisted_pair()
+        assert linking_matrix(scaled(link, 10.0**t)).J == linking_matrix(link).J
+
+
 class TestPolyLinkJson:
     def test_round_trip(self):
         link = hopf_polylink()
-        again = PolyLink.from_json(link.to_json())
+        again = PolyLink.from_json(polylink_json(link))
         assert again.delta == link.delta
         for c1, c2 in zip(link.components, again.components):
             assert np.allclose(c1, c2)
