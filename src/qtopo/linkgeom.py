@@ -243,9 +243,8 @@ def self_linking(curve: Curve, offsets: Curve, delta: float) -> int:
     for scale in (1.0, 0.5, 0.25):
         values.append(linking_number(curve, push_off(curve, offsets, delta * scale)))
     if len(set(values)) != 1:
-        raise GeometryError(
-            f"self-linking unstable under delta-halving: got {values} at delta={delta}"
-        )
+        # no delta in the message: linking_matrix passes the normalized one, not the link's
+        raise GeometryError(f"self-linking unstable under delta-halving: got {values}")
     return values[0]
 
 

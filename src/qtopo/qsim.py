@@ -27,9 +27,8 @@ import numpy as np
 
 from .numtheory import Character, gauss_sum_brute, primitive_root, require_odd_prime
 
-# Largest simulated register dimension, part of simulate's documented interface. The
-# simulation is O(k); the cap keeps the dense k x k oracles that the tests compare it
-# with (qft_matrix, the whole kickback joint state) near 10^6 amplitudes.
+# Largest register dimension, part of simulate's interface. The simulation is O(k); the cap keeps
+# the dense k x k oracles that tests compare it with (qft_matrix, the whole kickback) near 10^6 amplitudes.
 MAX_DIM = 1024
 
 # Sample schedule: per measurement basis, ceil(8*ln(40)/eps**2) shots give
@@ -127,9 +126,9 @@ def prepare_legendre_state(k: int) -> StateVector:
     for j in range(anc):  # one walk over the powers of g: dlog[g**j mod k] = j
         dlog[x] = j
         x = x * g % k
-    shift = (k - 1) // 2 * dlog % anc
 
-    shifts, branch = np.unique(shift[1:], return_inverse=True)
+    # the controlled shift of each row n >= 1: only 0 and (k-1)/2 occur
+    shifts, branch = np.unique((k - 1) // 2 * dlog[1:] % anc, return_inverse=True)
     # np.roll by each distinct shift s: rows[b, j] = row[j - shifts[b]], a negative index wrapping
     rows = row[np.arange(anc) - shifts[:, None]]
     amps = rows @ anc_state.conj()
@@ -178,15 +177,11 @@ class PhaseEstimate:
 
 
 def sample_schedule(epsilon: float) -> int:
-    """Shots per basis for a phase error below epsilon at 95% confidence.
-
-    numpy's binomial sampler takes an int64 shot count, drawn in O(1) at any
-    size, so epsilon below about 1.8e-9 is rejected.
-    """
+    """Shots per basis for a phase error below epsilon at 95% confidence."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     shots = _SCHEDULE_CONST / epsilon**2 if epsilon**2 > 0.0 else math.inf
-    if not shots < 2**63:
+    if not shots < 2**63:  # numpy's binomial sampler takes an int64 count (and draws it in O(1))
         raise ValueError(f"epsilon={epsilon} needs {shots:.3g} shots per basis, beyond the int64 range")
     return math.ceil(shots)
 

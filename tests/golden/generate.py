@@ -11,6 +11,7 @@ cases.json shows every case that moved.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -52,6 +53,14 @@ _HOPF = [_square(2.0, (0.0, 0.0, 0.0), "xy"), _square(2.0, (1.0, 0.0, 0.0), "xz"
 _CROSSING = [_square(2.0, (0.0, 0.0, 0.0), "xy"), _square(2.0, (2.0, 0.0, 0.0), "xz")]
 _SPLIT = [_square(2.0, (0.0, 0.0, 0.0), "xy"), _square(2.0, (5.0, 0.0, 0.0), "xz")]
 _UP = [[0.0, 0.0, 1.0]] * 4
+_RING = [[2.0 * math.cos(2.0 * math.pi * i / 16), 2.0 * math.sin(2.0 * math.pi * i / 16), 0.0] for i in range(16)]
+# one turn of the framing around the ring: +1 self-linking
+_TWIST = [[math.cos(-2.0 * math.pi * i / 16) * x / 2.0, math.cos(-2.0 * math.pi * i / 16) * y / 2.0,
+           math.sin(-2.0 * math.pi * i / 16)] for i, (x, y, _) in enumerate(_RING)]
+# a push-off that sweeps through a short bridge strand: stable at delta 0.2, unstable at delta 1
+_BRIDGE = [[0.0, 0.0, 0.0], [3.8, 0.0, 0.0], [4.0, 0.0, 0.0], [6.0, 0.0, 0.0], [6.2, 0.0, 0.0], [10.0, 0.0, 0.0],
+           [10.0, 2.0, 1.0], [5.5, 0.23, 1.0], [4.5, 0.17, 1.0], [3.5, 0.17, 1.0], [0.0, 2.0, 0.9]]
+_BRIDGE_OFFSETS = [[0.0, 0.0, 0.25]] * 2 + [[0.0, 0.28, 1.4]] * 2 + [[0.0, 0.0, 0.25]] * 7
 
 INPUTS = {
     "hopf": json.dumps({"m": 2, "J": [[0, 1], [1, 0]]}),
@@ -76,6 +85,9 @@ INPUTS = {
     "poly-crossing-1e200": _polylink(_CROSSING, 0.2, scale=1e200),
     "poly-split": _polylink(_SPLIT, 0.2),
     "poly-twisted-framing": _polylink(_HOPF[:1], 0.2, offsets=[_UP]),
+    "poly-twisted-ring": _polylink([_RING], 0.2, offsets=[_TWIST]),
+    "poly-bridge": _polylink([_BRIDGE], 0.2, offsets=[_BRIDGE_OFFSETS]),
+    "poly-bridge-unstable": _polylink([_BRIDGE], 1.0, offsets=[_BRIDGE_OFFSETS]),
     "poly-nan": '{"components": [{"points": [[NaN,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
                 ' "delta": 0.1}',
     "poly-bad-delta": '{"components": [], "delta": -1}',
@@ -131,7 +143,8 @@ def _cases() -> list[dict]:
     add(["gauss-sum", "--k", "5"])
     add(["gauss-sum", "--k", "5", "--a", "x"])
     for name in ["poly-hopf", "poly-hopf-1e200", "poly-hopf-1e-12", "poly-crossing", "poly-crossing-1e200",
-                 "poly-split", "poly-twisted-framing", "poly-nan", "poly-bad-delta", "hopf", "not-json"]:
+                 "poly-split", "poly-twisted-framing", "poly-twisted-ring", "poly-bridge", "poly-bridge-unstable",
+                 "poly-nan", "poly-bad-delta", "hopf", "not-json"]:
         add(["linking-matrix", "-i", "{input}"], name)
     for invariant, ks in (("su2k3", (None,)), ("abelian", (5, 13, 7, 9)), ("dw", (3, 5, 9))):
         for k in ks:
