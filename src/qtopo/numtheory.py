@@ -86,21 +86,20 @@ class ModK:
     def from_modulus(cls, k: int) -> "ModK":
         """Build the context from k alone; rejects k that is not an odd prime power below 3.3e24.
 
-        The prime is the root of k of the largest exact exponent: at most 81
-        rounded float roots, exact for a perfect power below 3.3e24, and one
-        primality test, so it answers at once at any k.
+        The prime is k itself or the root of k of the largest exact exponent:
+        at most 54 rounded float roots, exact for a perfect power below
+        3.3e24, and two primality tests, so it answers at once at any k.
         """
         if k < 3 or k % 2 == 0:
             raise ValueError(f"modulus {k} must be an odd prime power >= 3")
         if k >= _PROVEN_BELOW:
             raise ValueError(f"modulus {k} is not below {_PROVEN_BELOW:.2g}, where primality is proven")
         p, e = k, 1
-        for f in range(2, k.bit_length()):
-            root = round(k ** (1.0 / f))
-            if root < 3:
-                break
-            if root**f == k:
-                p, e = root, f
+        if not is_prime(k):
+            for f in range(2, k.bit_length() * 2 // 3 + 1):  # every f with 3**f <= k
+                root = round(k ** (1.0 / f))
+                if root**f == k:
+                    p, e = root, f
         try:
             return cls(k=k, p=p, e=e)  # checks that p is prime
         except ValueError:

@@ -162,12 +162,14 @@ class TestGaussSumClosed:
 
 
 class TestModK:
-    @pytest.mark.parametrize("k,p,e", [(5, 5, 1), (9, 3, 2), (25, 5, 2), (27, 3, 3), (343, 7, 3)])
+    @pytest.mark.parametrize("k,p,e", [(5, 5, 1), (9, 3, 2), (25, 5, 2), (27, 3, 3), (343, 7, 3), (3**51, 3, 51),
+                                       (1009**7, 1009, 7), (10**18 + 3, 10**18 + 3, 1)])
     def test_factorization(self, k, p, e):
         ring = ModK.from_modulus(k)
         assert (ring.k, ring.p, ring.e) == (k, p, e)
 
-    @pytest.mark.parametrize("k", [4, 8, 15, 45, 1, 2, 6])
+    # 3**100 is a prime power beyond 3.3e24, where the primality test is not proven
+    @pytest.mark.parametrize("k", [4, 8, 15, 45, 1, 2, 6, 225, 3**10 * 5, (10**18 + 3) * 1009, 3**100])
     def test_rejects_non_prime_powers(self, k):
         with pytest.raises(ValueError):
             ModK.from_modulus(k)
