@@ -123,8 +123,11 @@ def _cases() -> list[dict]:
         for rng in ("paper", "full"):
             for name in MATRICES + ["poly-hopf"]:
                 add(["tau-dw", "--k", str(k), "--range", rng, "-i", "{input}"], name)
-    for k in ("1", "0", "-3"):
+    for k in ("1", "0", "-3", str(10**30)):
         add(["tau-dw", "--k", k, "-i", "{input}"], "hopf")
+    # the first modulus where primality is no longer proven, and one past the float range
+    for k in ("3317044064679887385961981", str(10**309)):
+        add(["tau-dw", "--k", k, "-i", "{input}"], "empty")
     add(["tau-dw", "--k", "5", "--range", "half", "-i", "{input}"], "hopf")
     add(["tau-dw", "--k", "5", "-i", "{input}"], "zero-12", guard="1000")
     for name in BAD:
@@ -138,6 +141,7 @@ def _cases() -> list[dict]:
                 add(["gauss-sum", "--k", str(k), "--a", str(a), "--method", method])
     add(["gauss-sum", "--k", "1", "--a", "1"])
     add(["gauss-sum", "--k", "1000000000000000003", "--a", "2", "--method", "closed"])
+    add(["gauss-sum", "--k", "3317044064679887385961981", "--a", "1"])
     add(["gauss-sum", "--k", "1009", "--a", "1"], guard="100")
     add(["gauss-sum", "--k", "1009", "--a", "1", "--method", "closed"], guard="100")
     add(["gauss-sum", "--k", "5"])
@@ -146,7 +150,7 @@ def _cases() -> list[dict]:
                  "poly-split", "poly-twisted-framing", "poly-twisted-ring", "poly-bridge", "poly-bridge-unstable",
                  "poly-nan", "poly-bad-delta", "hopf", "not-json"]:
         add(["linking-matrix", "-i", "{input}"], name)
-    for invariant, ks in (("su2k3", (None,)), ("abelian", (5, 13, 7, 9)), ("dw", (3, 5, 9))):
+    for invariant, ks in (("su2k3", (None,)), ("abelian", (5, 13, 7, 9)), ("dw", (3, 5, 9, 2, 4, 6, 8, 12))):
         for k in ks:
             for rng in (("full", "paper") if invariant == "dw" else ("full",)):
                 for moves in (0, 3, 10):
@@ -160,7 +164,8 @@ def _cases() -> list[dict]:
     for name in ("unknot-p1", "three", "poly-hopf"):
         add(["check", "--invariant", "abelian", "--k", "5", "--seed", "2", "-i", "{input}"], name)
     add(["check", "--invariant", "abelian", "-i", "{input}"], "hopf")
-    add(["check", "--invariant", "abelian", "--k", "6", "-i", "{input}"], "hopf")
+    for k in ("4", "6", "15"):
+        add(["check", "--invariant", "abelian", "--k", k, "-i", "{input}"], "hopf")
     add(["check", "--invariant", "su2k3", "--seed", "-1", "-i", "{input}"], "hopf")
     add(["check", "--invariant", "su2k3", "--moves", "-3", "-i", "{input}"], "hopf")
     for guard in ("0", "-5", "x"):
