@@ -3,12 +3,13 @@
 Exit codes: 0 success, 2 invalid configuration, 3 input schema or geometry
 error, 4 guard exceeded (too many terms, or a value beyond the float range),
 5 property-check failure. Invalid configuration includes a negative
-simulate --seed, a simulate --eps whose shot count is beyond the int64 range
-(eps below about 1.8e-9), and a modulus or prime of 3.3e24 or more, beyond
-which primality is not proven. check counts a random move script's terms
-against the guard before it builds the script. Identical
-configuration and seed produce byte-identical output. The environment
-variable QTOPO_GUARD overrides the enumeration guard (expert use).
+simulate --seed, a simulate --eps beyond the int64 shot range (below about
+1.8e-9), and every --k below 2 or from 3.3e24 on, where primality is not
+proven. Each --k is a numtheory.ModK, and each command states what it needs
+of it: check --invariant dw takes every k that tau-dw takes. check counts a
+random move script's terms against the guard before it builds the script.
+Identical configuration and seed produce byte-identical output. The
+environment variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import click
 
 from . import invariants, linkgeom, qsim
-from .errors import GeometryError, GuardExceeded, SchemaError
+from .errors import GeometryError, GuardExceeded, SchemaError, decode_json
 from .linkalg import FramedLinkMatrix
 from .linkgeom import PolyLink
 from .numtheory import ModK, gauss_sum_brute, gauss_sum_closed, require_odd_prime
@@ -65,11 +66,9 @@ def _guard_from_env() -> int:
 
 def _read_json(path: Path) -> object:
     try:
-        return json.loads(path.read_text())
+        return decode_json(path)
     except OSError as exc:
         raise click.UsageError(f"--input: {exc}")
-    except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed or too deeply nested JSON
-        raise SchemaError(f"/: invalid JSON: {exc}") from exc
 
 
 def _load_link(path: Path) -> FramedLinkMatrix:
@@ -101,6 +100,17 @@ def _checked_by(check):
     return callback
 
 
+def _modulus(k: int, odd_prime_power: bool = False) -> ModK:
+    """--k as the one modulus type, checked for what the command needs of it; any other k exits 2."""
+    try:
+        ring = ModK.from_modulus(k)
+        if odd_prime_power:
+            ring.require_odd_prime_power()
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--k'")
+    return ring
+
+
 _input_opt = click.option(
     "-i", "--input", "input_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
     required=True, help="Linking-matrix or polygonal-link JSON file.",
@@ -117,16 +127,16 @@ def main() -> None:
 
 
 @main.command("tau-abelian")
-@click.option("--k", type=int, required=True, callback=_checked_by(ModK.from_modulus),
-              help="Modulus, an odd prime power.")
+@click.option("--k", type=int, required=True, help="Modulus, an odd prime power.")
 @click.option("--method", type=click.Choice(["brute", "factorized"]), default="factorized", show_default=True)
 @_input_opt
 @_output_opt
 @_exit_codes
 def tau_abelian_cmd(k: int, method: str, input_path: Path, output_path: Path | None) -> None:
     """Abelian gauge invariant of the link's 3-manifold."""
+    ring = _modulus(k, odd_prime_power=True)
     guard = _guard_from_env()
-    result = invariants.tau_abelian(_load_link(input_path), ModK.from_modulus(k), method=method, guard=guard)
+    result = invariants.tau_abelian(_load_link(input_path), ring, method=method, guard=guard)
     _emit(result.to_json_dict(), output_path)
 
 
@@ -141,7 +151,7 @@ def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
 
 
 @main.command("tau-dw")
-@click.option("--k", type=click.IntRange(min=2), required=True, help="Order of the cyclic gauge group (>= 2).")
+@click.option("--k", type=int, required=True, help="Order of the cyclic gauge group.")
 @click.option("--range", "range_convention", type=click.Choice(["paper", "full"]),
               default="paper", show_default=True, help="Summation range per variable.")
 @_input_opt
@@ -149,20 +159,21 @@ def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
 @_exit_codes
 def tau_dw_cmd(k: int, range_convention: str, input_path: Path, output_path: Path | None) -> None:
     """Cyclic finite-group invariant of the link's 3-manifold."""
+    k = _modulus(k).k
     guard = _guard_from_env()
     result = invariants.tau_dw(_load_link(input_path), k, range_convention=range_convention, guard=guard)
     _emit(result.to_json_dict(), output_path)
 
 
 @main.command("gauss-sum")
-@click.option("--k", type=click.IntRange(min=2), required=True,
-              help="Modulus (>= 2; odd prime for --method closed).")
+@click.option("--k", type=int, required=True, help="Modulus (odd prime for --method closed).")
 @click.option("--a", type=int, required=True, help="Quadratic coefficient.")
 @click.option("--method", type=click.Choice(["brute", "closed"]), default="brute", show_default=True)
 @_output_opt
 @_exit_codes
 def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None:
     """Scalar quadratic Gauss sum G(k, a)."""
+    k = _modulus(k).k
     if method == "brute":
         guard = _guard_from_env()
         if k > guard:
@@ -186,8 +197,7 @@ def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
 
 @main.command("check")
 @click.option("--invariant", type=click.Choice(["abelian", "su2k3", "dw"]), required=True)
-@click.option("--k", type=int, default=None, callback=_checked_by(ModK.from_modulus),
-              help="Modulus for abelian/dw (odd prime power).")
+@click.option("--k", type=int, default=None, help="Modulus for abelian (an odd prime power) and dw.")
 @click.option("--range", "range_convention", type=click.Choice(["paper", "full"]), default="full",
               show_default=True, help="Summation range for dw.")
 @click.option("--moves", type=int, default=10, show_default=True, help="Random moves to apply.")
@@ -204,9 +214,9 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
     """
     if invariant in ("abelian", "dw") and k is None:
         raise click.UsageError(f"--k is required for --invariant {invariant}")
+    ring = None if k is None else _modulus(k, odd_prime_power=invariant == "abelian")
     guard = _guard_from_env()
     link = _load_link(input_path)
-    ring = ModK.from_modulus(k) if k is not None else None
     report = invariants.check_kirby_invariance(
         link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention, guard=guard,
     )

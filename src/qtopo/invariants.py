@@ -22,7 +22,7 @@ import math
 import random
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -178,13 +178,14 @@ def tau_abelian(
     method: Method = "factorized",
     guard: int = DEFAULT_GUARD,
 ) -> InvariantResult:
-    """Abelian gauge invariant: the partition sum of the linking form mod k.
+    """Abelian gauge invariant: the partition sum of the linking form mod an odd prime power k.
 
     brute sums exp(-2*pi*i * n^T J n / k) over all residue vectors;
     factorized diagonalizes J mod k and multiplies the scalar Gauss sums of
     the diagonal entries. Topological invariance (up to the blow-up modulus
     factor sqrt(k)) holds for k = 1 (mod 4); other moduli get a warning.
     """
+    ring.require_odd_prime_power()
     k = ring.k
     if k % 4 != 1:
         warnings.warn(f"k={k} is not 1 mod 4; the Abelian value is not phase-invariant under blow-ups")
@@ -335,15 +336,7 @@ class KirbyReport:
             "moves": [list(mv) for mv in self.script],
             "before": {"re": self.before.real, "im": self.before.imag},
             "after": {"re": self.after.real, "im": self.after.imag},
-            "checks": [
-                {
-                    "name": c.name,
-                    "asserted": c.asserted,
-                    "passed": c.passed,
-                    "deviation": c.deviation,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "notes": list(self.notes),
             "passed": self.passed,
         }

@@ -15,11 +15,10 @@ Matrices are immutable and all functions pure; thread-safe throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import SchemaError
+from .errors import SchemaError, decode_json
 from .numtheory import ModK
 
 Rows = tuple[tuple[int, ...], ...]
@@ -68,11 +67,7 @@ class FramedLinkMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "FramedLinkMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"/: invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(decode_json(text))
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,7 @@ def signature(link: FramedLinkMatrix) -> int:
 
 
 def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResult:
-    """Diagonalize J by a unimodular congruence modulo k = p**e.
+    """Diagonalize J by a unimodular congruence modulo k = p**e, p an odd prime (else ValueError).
 
     Symmetric elimination over Z/p**e with pivots of minimal p-adic
     valuation; each pivot clears its row and column using the inverse of its
@@ -220,6 +215,7 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
     Returns an exact integer U with det(U) = +1 and the diagonal residues d;
     U^T J U = diag(d) holds entrywise modulo k.
     """
+    ring.require_odd_prime_power()
     m = link.m
     k, p, e = ring.k, ring.p, ring.e
     a = [[x % k for x in row] for row in link.J]

@@ -19,14 +19,13 @@ coordinate can overflow in the checks at any scale.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, SchemaError
+from .errors import GeometryError, SchemaError, decode_json
 from .linkalg import FramedLinkMatrix
 
 # Floor on segment separation, relative to the extent of the curves checked;
@@ -100,11 +99,7 @@ class PolyLink:
 
     @classmethod
     def from_json(cls, text: str) -> "PolyLink":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"/: invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(decode_json(text))
 
 
 def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], float]:

@@ -1,10 +1,10 @@
 """Exact modular arithmetic, quadratic characters, and scalar Gauss sums.
 
-Everything here is desk-scale number theory: moduli are odd primes or odd
-prime powers, small enough that O(sqrt(k)) and O(k) algorithms are instant.
-Phases are always derived from an exact integer residue, reduced modulo k
-before the single conversion to a float angle, so sums stay accurate for
-moduli up to 2**31.
+Every modulus is a ModK, 2 <= k < 3.3e24, and each caller states what it
+needs of k: an odd prime power for the Abelian invariant, an odd prime for
+the characters and the closed form. A ModK costs one primality test; the
+generator search and discrete log take O(sqrt(k)) and the brute sum O(k).
+Phases come from an exact integer residue mod k, converted to an angle once.
 
 All functions are pure and all value types immutable; safe for concurrent
 use from any number of threads.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Witness set making Miller-Rabin deterministic for n < _PROVEN_BELOW (about 3.3e24).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -47,10 +47,8 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(k: int) -> None:
-    """Raise ValueError unless k is an odd prime below 3.3e24, where is_prime is exact."""
-    if k >= _PROVEN_BELOW:
-        raise ValueError(f"{k} is not below {_PROVEN_BELOW:.2g}, where primality is proven")
-    if k < 3 or k % 2 == 0 or not is_prime(k):
+    """Raise ValueError unless k is an odd prime that ModK.from_modulus accepts."""
+    if ModK.from_modulus(k).p != k or k == 2:
         raise ValueError(f"{k} is not an odd prime")
 
 
@@ -71,42 +69,39 @@ def _prime_factors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ModK:
-    """Residue arithmetic context for a modulus k = p**e, p an odd prime."""
+    """A modulus 2 <= k < 3.3e24, where is_prime and float roots are exact; k = p**e for a prime p, or p = e = 0."""
 
     k: int
-    p: int
-    e: int
+    p: int = field(init=False)
+    e: int = field(init=False)
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if self.e < 1 or self.p**self.e != self.k:
-            raise ValueError(f"modulus {self.k} is not {self.p}**{self.e}")
-
-    @classmethod
-    def from_modulus(cls, k: int) -> "ModK":
-        """Build the context from k alone; rejects k that is not an odd prime power below 3.3e24.
-
-        The prime is k itself or the root of k of the largest exact exponent:
-        at most 54 rounded float roots, exact for a perfect power below
-        3.3e24, and two primality tests, so it answers at once at any k.
-        """
-        if k < 3 or k % 2 == 0:
-            raise ValueError(f"modulus {k} must be an odd prime power >= 3")
-        if k >= _PROVEN_BELOW:
-            raise ValueError(f"modulus {k} is not below {_PROVEN_BELOW:.2g}, where primality is proven")
+        k = self.k
+        if not 2 <= k < _PROVEN_BELOW:
+            raise ValueError(f"modulus {k} must be >= 2 and below {_PROVEN_BELOW:.2g}, where primality is proven")
         p, e = k, 1
         if not is_prime(k):
-            for f in range(2, k.bit_length() * 2 // 3 + 1):  # every f with 3**f <= k
+            for f in range(2, k.bit_length()):  # every f with 2**f <= k; the last exact root is no power
                 root = round(k ** (1.0 / f))
                 if root**f == k:
                     p, e = root, f
-        try:
-            return cls(k=k, p=p, e=e)  # checks that p is prime
-        except ValueError:
-            raise ValueError(f"modulus {k} is not a power of a single odd prime") from None
+            if e == 1 or not is_prime(p):
+                p = e = 0
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+
+    @classmethod
+    def from_modulus(cls, k: int) -> "ModK":
+        """The modulus k; raises ValueError unless 2 <= k < 3.3e24."""
+        return cls(k)
+
+    def require_odd_prime_power(self) -> None:
+        """Raise ValueError unless k is a power of an odd prime."""
+        if self.p < 3:
+            raise ValueError(f"modulus {self.k} is not a power of a single odd prime")
 
     def valuation(self, n: int) -> int:
-        """p-adic valuation of n mod k, capped at e (the valuation of 0)."""
+        """p-adic valuation of n mod k, capped at e (the valuation of 0); k must be a prime power."""
         n %= self.k
         if n == 0:
             return self.e

@@ -17,6 +17,7 @@ import qtopo
 from qtopo import invariants
 from qtopo.cli import main
 from qtopo.linkgeom import PolyLink
+from qtopo.numtheory import _PROVEN_BELOW
 
 
 @pytest.fixture
@@ -193,6 +194,42 @@ class TestSimulateCommand:
         assert result.exit_code == 2
 
 
+_MODULI = (2, 3, 4, 6, 9, 15, 25, _PROVEN_BELOW)
+_BELOW_BOUND = set(_MODULI) - {_PROVEN_BELOW}
+
+
+class TestModuli:
+    """Every --k is one ModK; each command accepts the moduli it states it needs, and exits 2 on the rest."""
+
+    @pytest.mark.parametrize("k", _MODULI, ids=str)
+    @pytest.mark.parametrize(
+        "command,accepted",
+        [
+            (["tau-abelian", "-i", "hopf.json"], {3, 9, 25}),
+            (["check", "--invariant", "abelian", "--moves", "0", "-i", "hopf.json"], {3, 9, 25}),
+            (["tau-dw", "-i", "hopf.json"], _BELOW_BOUND),
+            (["check", "--invariant", "dw", "--moves", "0", "-i", "hopf.json"], _BELOW_BOUND),
+            (["check", "--invariant", "su2k3", "--moves", "0", "-i", "hopf.json"], _BELOW_BOUND),
+            (["gauss-sum", "--a", "1"], _BELOW_BOUND),
+            (["simulate", "--a", "1"], {3}),
+        ],
+        ids=["tau-abelian", "check-abelian", "tau-dw", "check-dw", "check-su2k3", "gauss-sum", "simulate"],
+    )
+    def test_exit_code(self, runner, hopf_matrix, command, accepted, k):
+        args = [str(hopf_matrix) if arg == "hopf.json" else arg for arg in command]
+        result = runner.invoke(main, [*args, "--k", str(k)])
+        assert result.exit_code == (0 if k in accepted else 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
+    def test_check_dw_takes_every_k_that_tau_dw_takes(self, runner, hopf_matrix, k):
+        check = runner.invoke(main, ["check", "--invariant", "dw", "--k", str(k), "--moves", "0",
+                                     "-i", str(hopf_matrix)])
+        tau = runner.invoke(main, ["tau-dw", "--k", str(k), "--range", "full", "-i", str(hopf_matrix)])
+        assert check.exit_code == tau.exit_code == 0
+        assert parse(check)["before"] == {"re": parse(tau)["re"], "im": parse(tau)["im"]}
+
+
 class TestExitCodes:
     def test_schema_error_is_3(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -350,7 +387,7 @@ def test_matrix_json_never_gives_a_traceback(tmp_path_factory, doc):
 _INTS = st.one_of(
     st.integers(min_value=-3, max_value=40),
     st.integers(min_value=-(2**70), max_value=2**70),
-    st.sampled_from([1009, 1021, 2**63, 2**64 + 1, -(2**64) - 1, 10**18 + 3, 3**50]),
+    st.sampled_from([1009, 1021, 2**63, 2**64 + 1, -(2**64) - 1, 10**18 + 3, 3**50, 10**309]),
 )
 # nan, infinities and subnormals included
 _FLOATS = st.one_of(st.floats(), st.floats(min_value=1e-4, max_value=1.0), st.sampled_from([5e-324, 1e-300, 1e-9]))
@@ -380,7 +417,7 @@ def _invocations(draw):
     options = draw(st.fixed_dictionaries(required, optional=optional))
     args = [command, *(str(x) for item in options.items() for x in item)]
     if command not in ("gauss-sum", "simulate"):
-        args += ["-i", draw(st.sampled_from(["hopf.json", "hopf_geom.json"]))]
+        args += ["-i", draw(st.sampled_from(["hopf.json", "hopf_geom.json", "empty.json"]))]
     if draw(st.booleans()):
         args += ["-o", "out.json"]
     return args
@@ -393,9 +430,11 @@ def _invocations(draw):
 @example(args=["simulate", "--k", "5", "--a", "1", "--eps", "1e-300"], guard=None)
 @example(args=["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "hopf.json"], guard=None)
 @example(args=["tau-abelian", "--k", "1000000000000000003", "-i", "hopf.json"], guard=None)
+@example(args=["tau-dw", "--k", str(10**309), "-i", "empty.json"], guard=None)
 def test_no_option_gives_a_traceback(tmp_path_factory, args, guard):
     base = tmp_path_factory.getbasetemp()
     (base / "hopf.json").write_text(json.dumps({"m": 2, "J": [[0, 1], [1, 0]]}))
+    (base / "empty.json").write_text(json.dumps({"J": []}))
     a, b = hopf_pair()
     geometry = PolyLink(components=(a, b), framings=(outward_offsets(a), outward_offsets(b)), delta=0.2)
     (base / "hopf_geom.json").write_text(polylink_json(geometry))

@@ -179,6 +179,12 @@ class TestTauAbelian:
                 fact = tau_abelian(link, ring, method="factorized").value
                 assert abs(brute - fact) < 1e-6 * abs(brute)
 
+    @pytest.mark.parametrize("method", ["brute", "factorized"])
+    @pytest.mark.parametrize("k", [2, 4, 6, 15])
+    def test_modulus_not_an_odd_prime_power_rejected(self, method, k):
+        with pytest.raises(ValueError, match="not a power of a single odd prime"):
+            tau_abelian(FramedLinkMatrix.from_rows([[1]]), ModK.from_modulus(k), method=method)
+
     def test_json_fields(self):
         payload = tau_abelian(FramedLinkMatrix.from_rows([[1]]), ModK.from_modulus(5)).to_json_dict()
         assert set(payload) == {"re", "im", "method", "k", "m", "normalized_re", "normalized_im"}

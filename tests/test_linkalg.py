@@ -117,6 +117,10 @@ class TestFramedLinkMatrix:
             FramedLinkMatrix.from_json(payload)
         assert str(err.value).startswith(pointer)
 
+    def test_deep_nesting_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="^/: invalid JSON"):
+            FramedLinkMatrix.from_json("[" * 100000)
+
 
 class TestBlowUp:
     def test_block_sum(self):
@@ -296,9 +300,10 @@ class TestDiagonalizeModK:
                 brute = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1)
                 assert abs(product - brute) < 1e-6 * abs(brute)
 
-    def test_even_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            ModK.from_modulus(4)
+    @pytest.mark.parametrize("k", [2, 4, 6, 15])
+    def test_modulus_not_an_odd_prime_power_rejected(self, k):
+        with pytest.raises(ValueError, match="not a power of a single odd prime"):
+            diagonalize_mod_k(FramedLinkMatrix.from_rows([[1]]), ModK.from_modulus(k))
 
     def test_determinant_normalized_to_plus_one(self):
         rng = random.Random(88)

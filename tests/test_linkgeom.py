@@ -171,6 +171,11 @@ def hopf_polylink(delta=0.2):
     )
 
 
+def linked_ring_polylink():
+    a, b = ring_pair(12, 14, 1.3, 0.2)
+    return PolyLink(components=(a, b), framings=(outward_offsets(a), outward_offsets(b)), delta=0.2)
+
+
 def unit_twisted_pair():
     c1 = ring(n=16, radius=2.0)
     c2 = ring(n=16, radius=2.0, center=(10.0, 0.0, 0.0))
@@ -230,6 +235,64 @@ class TestScale:
         assert linking_matrix(scaled(link, 10.0**t)).J == linking_matrix(link).J
 
 
+def rotation(alpha, beta, gamma):
+    """Rotation matrix from z-y-z Euler angles."""
+    def about(axis, t):
+        c, s = math.cos(t), math.sin(t)
+        i, j = [a for a in range(3) if a != axis]
+        r = np.eye(3)
+        r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
+        return r
+
+    return about(2, alpha) @ about(1, beta) @ about(2, gamma)
+
+
+def ring_pair(n1, n2, dx, dz):
+    """An xy-ring and an xz-ring of radius 2, the second centred at (dx, 0, dz)."""
+    return ring(n=n1, radius=2.0), ring(n=n2, radius=2.0, center=(dx, 0.0, dz), plane="xz")
+
+
+_ANGLES = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+_SIDES = st.integers(min_value=12, max_value=16)
+
+
+class TestRigidMotionAndRelabelling:
+    """linking_matrix and linking_number do not depend on placement, vertex labels or argument order."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(angles=st.tuples(_ANGLES, _ANGLES, _ANGLES),
+           shift=st.tuples(*[st.floats(min_value=-100.0, max_value=100.0)] * 3),
+           which=st.sampled_from(["linked-rings", "twisted"]))
+    def test_matrix_unchanged_under_rigid_motion(self, angles, shift, which):
+        link = linked_ring_polylink() if which == "linked-rings" else unit_twisted_pair()
+        rot = rotation(*angles)
+        moved = PolyLink(components=tuple(c @ rot.T + np.array(shift) for c in link.components),
+                         framings=tuple(o @ rot.T for o in link.framings), delta=link.delta)
+        assert linking_matrix(moved).J == linking_matrix(link).J
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(offsets=st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15)),
+           which=st.sampled_from(["linked-rings", "twisted"]))
+    def test_matrix_unchanged_under_cyclic_relabelling(self, offsets, which):
+        link = linked_ring_polylink() if which == "linked-rings" else unit_twisted_pair()
+        relabelled = PolyLink(components=tuple(np.roll(c, t, axis=0) for c, t in zip(link.components, offsets)),
+                              framings=tuple(np.roll(o, t, axis=0) for o, t in zip(link.framings, offsets)),
+                              delta=link.delta)
+        assert linking_matrix(relabelled).J == linking_matrix(link).J
+
+    # the rings meet only on the x-axis, where these centres keep every crossing far from the other ring
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(n1=_SIDES, n2=_SIDES, dx=st.sampled_from([0.7, -1.1, 3.1, -3.1, 4.5]),
+           dz=st.floats(min_value=-1.0, max_value=1.0), angles=st.tuples(_ANGLES, _ANGLES, _ANGLES))
+    def test_symmetric_and_odd_under_reversal(self, n1, n2, dx, dz, angles):
+        rot = rotation(*angles)
+        a, b = (c @ rot.T for c in ring_pair(n1, n2, dx, dz))
+        lk = linking_number(a, b)
+        assert abs(lk) == (0 if abs(dx) > 4 else 1)
+        assert linking_number(b, a) == lk
+        assert linking_number(a[::-1], b) == -lk
+
+
 class TestPolyLinkJson:
     def test_round_trip(self):
         link = hopf_polylink()
@@ -262,3 +325,7 @@ class TestPolyLinkJson:
         with pytest.raises(SchemaError) as err:
             PolyLink.from_json(payload)
         assert str(err.value).startswith(pointer)
+
+    def test_deep_nesting_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="^/: invalid JSON"):
+            PolyLink.from_json("[" * 100000)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qtopo.numtheory import (
+    _PROVEN_BELOW,
     Character,
     ModK,
     discrete_log,
@@ -163,22 +164,45 @@ class TestGaussSumClosed:
 
 class TestModK:
     @pytest.mark.parametrize("k,p,e", [(5, 5, 1), (9, 3, 2), (25, 5, 2), (27, 3, 3), (343, 7, 3), (3**51, 3, 51),
-                                       (1009**7, 1009, 7), (10**18 + 3, 10**18 + 3, 1)])
+                                       (1009**7, 1009, 7), (10**18 + 3, 10**18 + 3, 1), (2, 2, 1), (4, 2, 2),
+                                       (8, 2, 3), (2**81, 2, 81)])
     def test_factorization(self, k, p, e):
         ring = ModK.from_modulus(k)
         assert (ring.k, ring.p, ring.e) == (k, p, e)
 
+    @pytest.mark.parametrize("k", [6, 15, 45, 225, 3**10 * 5, (10**18 + 3) * 1009])
+    def test_two_prime_factors_give_p_zero(self, k):
+        ring = ModK.from_modulus(k)
+        assert (ring.k, ring.p, ring.e) == (k, 0, 0)
+
+    def test_squares_near_the_bound(self):
+        # the largest squares below the bound, where a float root one off would show
+        top = math.isqrt(_PROVEN_BELOW - 1)
+        for root in range(top - 40, top + 1):
+            ring = ModK.from_modulus(root * root)
+            assert ((ring.p, ring.e) == (root, 2)) == is_prime(root)
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 2**81, 6, 15, 45, 225, 3**10 * 5, (10**18 + 3) * 1009])
+    def test_odd_prime_power_required(self, k):
+        with pytest.raises(ValueError, match="not a power of a single odd prime"):
+            ModK.from_modulus(k).require_odd_prime_power()
+
+    @pytest.mark.parametrize("k", [5, 9, 3**51, 1009**7, 10**18 + 3])
+    def test_odd_prime_powers_pass(self, k):
+        ModK.from_modulus(k).require_odd_prime_power()
+
     # 3**100 is a prime power beyond 3.3e24, where the primality test is not proven
-    @pytest.mark.parametrize("k", [4, 8, 15, 45, 1, 2, 6, 225, 3**10 * 5, (10**18 + 3) * 1009, 3**100])
-    def test_rejects_non_prime_powers(self, k):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("k", [1, 0, -5, _PROVEN_BELOW, 3**100])
+    def test_rejects_out_of_range(self, k):
+        with pytest.raises(ValueError, match="must be >= 2 and below 3.3e"):
             ModK.from_modulus(k)
 
-    def test_direct_construction_validated(self):
-        with pytest.raises(ValueError):
+    def test_p_and_e_follow_k(self):
+        with pytest.raises(TypeError):
             ModK(k=10, p=5, e=1)
-        with pytest.raises(ValueError):
-            ModK(k=16, p=2, e=4)
+        assert (ModK(16).p, ModK(16).e) == (2, 4)
+        with pytest.raises(AttributeError):
+            ModK.from_modulus(10).p = 5
 
     def test_reduce_and_valuation(self):
         ring = ModK.from_modulus(25)
