@@ -173,6 +173,11 @@ def _cases() -> list[dict]:
     add(["check", "--invariant", "dw", "--k", "5", "--moves", "10", "-i", "{input}"], "hopf", guard="200")
     add(["check", "--invariant", "su2k3", "--moves", "10", "-i", "{input}"], "hopf", guard="100")
     add(["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "{input}"], "hopf")
+    # a random script's size cap where k**m_cap is exactly the guard or 10**6
+    for k, moves, seed, guard in (("10", "10", "1", None), ("10", "10", "2", None), ("100", "10", "0", None),
+                                  ("3", "10", "0", "243"), ("10", "3", "0", "1000")):
+        add(["check", "--invariant", "dw", "--k", k, "--moves", moves, "--seed", seed, "-i", "{input}"], "hopf",
+            guard=guard)
     for k in (3, 5, 7, 13, 101, 131):
         for a in (1, 2, -1, k + 3):
             for eps, seed in ((0.05, 0), (0.1, 7), (0.3, 42)):
