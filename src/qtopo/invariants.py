@@ -268,43 +268,22 @@ def apply_move(link: FramedLinkMatrix, move: Move) -> FramedLinkMatrix:
     raise ValueError(f"unknown move {move!r}")
 
 
-def _splittable(link: FramedLinkMatrix) -> list[int]:
-    return [
-        i
-        for i in range(link.m)
-        if link.J[i][i] in (1, -1) and all(link.J[i][j] == 0 for j in range(link.m) if j != i)
-    ]
-
-
-def make_move_script(
-    link: FramedLinkMatrix, n_moves: int, seed: int, m_cap: int = 16
-) -> list[Move]:
-    """Random legal move script; legality tracked against the evolving matrix."""
-    rng = random.Random(seed)
-    script: list[Move] = []
-    cur = link
-    for _ in range(n_moves):
-        options = []
-        if cur.m < m_cap:
-            options.append("blow_up")
-        if cur.m >= 2:
-            options.append("slide")
-        removable = _splittable(cur)
-        if removable and cur.m >= 1:
-            options.append("blow_down")
-        if not options:
-            break
-        kind = rng.choice(options)
-        if kind == "blow_up":
-            move: Move = ("blow_up", rng.choice((1, -1)))
-        elif kind == "blow_down":
-            move = ("blow_down", rng.choice(removable))
-        else:
-            i, j = rng.sample(range(cur.m), 2)
-            move = ("slide", i, j, rng.choice((1, -1)))
-        script.append(move)
-        cur = apply_move(cur, move)
-    return script
+def _random_move(rng: random.Random, cur: FramedLinkMatrix, m_cap: int) -> Move | None:
+    """A random move that is legal on cur, or None when no move is."""
+    # a blow-down removes a +-1-framed component that links no other
+    removable = [i for i in range(cur.m)
+                 if cur.J[i][i] in (1, -1) and all(cur.J[i][j] == 0 for j in range(cur.m) if j != i)]
+    options = [kind for kind, legal in (("blow_up", cur.m < m_cap), ("slide", cur.m >= 2), ("blow_down", removable))
+               if legal]
+    if not options:
+        return None
+    kind = rng.choice(options)
+    if kind == "blow_up":
+        return ("blow_up", rng.choice((1, -1)))
+    if kind == "blow_down":
+        return ("blow_down", rng.choice(removable))
+    i, j = rng.sample(range(cur.m), 2)
+    return ("slide", i, j, rng.choice((1, -1)))
 
 
 @dataclass(frozen=True)
@@ -391,13 +370,15 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
     return [PropertyCheck("slide_invariance", asserted, dev < _KIRBY_TOL, dev)], notes
 
 
-# invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention));
-# evaluate looks the tau_* function up when called, so a patched one is the one timed
+# invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention),
+#               (modulus, box width) or None for ring.k as both, a random script's m_cap or None for one from the
+#               guard); evaluate looks the tau_* function up when called, so a patched one is the one timed
 _KIRBY_LAWS = {
-    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link, guard=guard).value, _su2k3_law),
+    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link, guard=guard).value, _su2k3_law, (3, 2), 16),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
-                _abelian_law),
-    "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law),
+                _abelian_law, None, None),
+    "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law,
+           None, None),
 }
 
 
@@ -410,7 +391,7 @@ def check_kirby_invariance(
     range_convention: DwRange = "full",
     guard: int = DEFAULT_GUARD,
 ) -> KirbyReport:
-    """Apply a move script and verify the invariance law of the chosen invariant.
+    """Apply a move script, evaluating after each move, and verify the invariance law of the chosen invariant.
 
     su2k3: the value is asserted equal after every move. abelian (needs a
     ring with k = 1 mod 4 for the law to hold): the phase is asserted equal
@@ -418,41 +399,44 @@ def check_kirby_invariance(
     handle slides are asserted (for the full summation range); blow-up
     behavior is recorded in the notes, not asserted.
 
-    A random script of n moves is counted against the guard before it is
-    built, as n + 1 evaluations of the largest sum it could reach.
+    moves is a script or a count n. A random script draws each move from
+    random.Random(seed), legal on the current matrix, and ends early when
+    none is; blow-ups stop at m_cap components (the table's 16 for su2k3,
+    else the largest m with k**m <= min(guard, 10**6), if above the input's m).
+    It is counted against the guard before the first draw, as n + 1
+    evaluations of the largest sum it could reach.
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    evaluate, law = _KIRBY_LAWS[invariant]
-    if invariant == "su2k3":
-        k = 3
-    elif ring is None:
+    evaluate, law, box, m_cap = _KIRBY_LAWS[invariant]
+    if box is None and ring is None:
         raise ValueError(f"{invariant} invariance check requires a ring")
-    else:
-        k = ring.k
+    k, width = box or (ring.k, ring.k)
 
+    rng = None
     if isinstance(moves, int):
-        if invariant == "su2k3":
-            m_cap = 16
-        elif guard < 1:
-            raise GuardExceeded(f"guard {guard} admits no terms")
-        else:
-            m_cap = max(link.m, int(math.log(min(guard, 10**6), k)))
+        if m_cap is None:
+            if guard < 1:
+                raise GuardExceeded(f"guard {guard} admits no terms")
+            budget = min(guard, 10**6)
+            m_cap = max(link.m, next(m for m in itertools.count() if k ** (m + 1) > budget))
         # each move changes m by at most one, so no evaluation sums more than width**m_top terms
-        width = 2 if invariant == "su2k3" else k
         m_top = max(link.m, min(m_cap, link.m + moves))
         evaluations = max(moves, 0) + 1
         total = evaluations * width**m_top
         if total > guard:
             raise GuardExceeded(f"{evaluations} evaluations * {width}**{m_top} = {total} terms exceeds guard {guard}")
-        script = make_move_script(link, moves, seed, m_cap=m_cap)
-    else:
-        script = list(moves)
+        rng = random.Random(seed)
 
+    script: list[Move] = []
     values = [evaluate(link, ring, range_convention, guard)]
     cur = link
-    for move in script:
+    for step in range(len(moves) if rng is None else moves):
+        move = moves[step] if rng is None else _random_move(rng, cur, m_cap)
+        if move is None:  # no move is legal
+            break
         cur = apply_move(cur, move)
+        script.append(move)
         values.append(evaluate(cur, ring, range_convention, guard))
     checks, notes = law(values, script, k, range_convention)
     return KirbyReport(invariant=invariant, k=k, script=tuple(script), before=values[0], after=values[-1],

@@ -106,9 +106,12 @@ class ModK:
         if n == 0:
             return self.e
         v = 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
+        try:
+            while n % self.p == 0:
+                n //= self.p
+                v += 1
+        except ZeroDivisionError:  # p = 0: k has two prime factors
+            raise ValueError(f"modulus {self.k} is not a prime power") from None
         return v
 
 

@@ -15,7 +15,6 @@ from qtopo.invariants import (
     SumRange,
     apply_move,
     check_kirby_invariance,
-    make_move_script,
     multivariate_gauss_sum,
     tau_abelian,
     tau_dw,
@@ -300,17 +299,44 @@ class TestKirbyChecks:
 
     def test_script_generation_deterministic(self):
         link = FramedLinkMatrix.from_rows([[1, 2], [2, 0]])
-        assert make_move_script(link, 10, seed=4) == make_move_script(link, 10, seed=4)
-        assert make_move_script(link, 10, seed=4) != make_move_script(link, 10, seed=5)
+        ring = ModK.from_modulus(5)
+
+        def script(seed):
+            return check_kirby_invariance(link, "dw", 10, seed=seed, ring=ring).script
+
+        assert script(4) == script(4)
+        assert script(4) != script(5)
 
     def test_scripts_stay_legal(self):
         rng = random.Random(9)
         for _ in range(10):
             link = random_symmetric(rng, rng.randint(1, 4))
-            script = make_move_script(link, 12, seed=rng.randrange(10**6))
+            script = check_kirby_invariance(link, "su2k3", 12, seed=rng.randrange(10**6)).script
             cur = link
             for move in script:
                 cur = apply_move(cur, move)  # raises on any illegal move
+
+    def test_each_random_move_is_applied_once(self, monkeypatch):
+        calls = []
+
+        def counted(link, move):
+            calls.append(move)
+            return apply_move(link, move)
+
+        monkeypatch.setattr(invariants, "apply_move", counted)
+        report = check_kirby_invariance(FramedLinkMatrix.from_rows([[0, 1], [1, 0]]), "dw", 10, seed=1,
+                                        ring=ModK.from_modulus(5))
+        assert len(report.script) == 10
+        assert calls == list(report.script)
+
+    # k**m_cap == min(guard, 10**6) exactly, where a float log_k rounds one short
+    @pytest.mark.parametrize("k,guard,m_cap", [(10, 10**6, 6), (100, 10**8, 3), (3, 243, 5), (10, 1000, 3),
+                                               (2, 2**19, 19)])
+    def test_random_script_size_cap_is_exact_at_powers(self, k, guard, m_cap):
+        hopf = FramedLinkMatrix.from_rows([[0, 1], [1, 0]])
+        # the guard pre-count names the largest m a 200-move script could reach from m = 2
+        with pytest.raises(GuardExceeded, match=rf"^201 evaluations \* {k}\*\*{m_cap} = "):
+            check_kirby_invariance(hopf, "dw", 200, ring=ModK.from_modulus(k), guard=guard)
 
     def test_random_su2k3_scripts(self):
         rng = random.Random(111)
