@@ -1,4 +1,4 @@
-"""Write the CLI's golden corpus: every case with its exact stdout, first stderr line and exit code.
+"""Write the CLI's golden corpus: every case with its exact stdout, first and last stderr line and exit code.
 
     PYTHONPATH=src python tests/golden/generate.py
 
@@ -192,12 +192,19 @@ def _cases() -> list[dict]:
                  ["--k", "5", "--a", "1", "--eps", "1e-9"], ["--k", "5", "--a", "1", "--eps", "1e-300"],
                  ["--k", "5", "--a", "1", "--eps", "5e-324"]):
         add(["simulate", *args])
+    # two errors at once, a bad option and a bad input or a second bad option: the case pins which one is reported
+    add(["tau-abelian", "--k", "4", "-i", "{input}"], "not-json")
+    add(["check", "--invariant", "abelian", "--k", "4", "-i", "{input}"], "not-json")
+    add(["tau-dw", "--k", "1", "-i", "{input}"], "not-json")
+    for first, second in ((["--k", "4"], ["--seed", "-1"]), (["--k", "4"], ["--eps", "1.5"])):
+        add(["simulate", *first, "--a", "1", *second])
+        add(["simulate", *second, "--a", "1", *first])
     add(["no-such-command"])
     return cases
 
 
 def run_case(case: dict, inputs: dict, workdir: Path) -> dict:
-    """Run one case in-process; return its stdout, first stderr line and exit code."""
+    """Run one case in-process; return its stdout, first and last stderr line and exit code."""
     from qtopo.cli import main
 
     args = []
@@ -216,7 +223,8 @@ def run_case(case: dict, inputs: dict, workdir: Path) -> dict:
     stderr = result.stderr.splitlines()
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         stderr = ["Traceback (most recent call last):"]
-    return {"stdout": result.stdout, "stderr": stderr[0] if stderr else "", "exit": result.exit_code}
+    first, last = (stderr[0], stderr[-1]) if stderr else ("", "")
+    return {"stdout": result.stdout, "stderr": first, "stderr_last": last, "exit": result.exit_code}
 
 
 def main() -> None:
