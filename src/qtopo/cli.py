@@ -2,19 +2,22 @@
 
 Exit codes: 0 success, 2 invalid configuration, 3 input schema or geometry
 error, 4 guard exceeded (too many terms, or a value beyond the float range),
-5 property-check failure. Invalid configuration includes a negative
-simulate --seed, a simulate --eps beyond the int64 shot range (below about
-1.8e-9), and every --k below 2 or from 3.3e24 on, where primality is not
-proven. Each --k is a numtheory.ModK, and each command states what it needs
-of it: check --invariant dw takes every k that tau-dw takes. check counts a
-random move script's terms against the guard before it builds the script.
+5 property-check failure. The command group is the one error boundary: it
+maps every command's schema, geometry and guard errors to exits 3 and 4.
+Invalid configuration includes a negative simulate --seed, a simulate --eps
+beyond the int64 shot range (below about 1.8e-9), and every --k below 2 or
+from 3.3e24 on, where primality is not proven. Each command runs the library
+check its options need (_checked) before it reads the input, so exit 2 wins
+over exit 3. Each --k is a numtheory.ModK, and each command states what it
+needs of it: check --invariant dw takes every k that tau-dw takes. check
+counts a random move script's terms against the guard before it builds the
+script.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -32,26 +35,6 @@ EXIT_CONFIG = 2
 EXIT_SCHEMA = 3
 EXIT_GUARD = 4
 EXIT_PROPERTY = 5
-
-
-def _exit_codes(command):
-    """The CLI's error boundary: library input and guard errors become exit codes."""
-
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except SchemaError as exc:
-            click.echo(f"schema error: {exc}", err=True)
-            sys.exit(EXIT_SCHEMA)
-        except GeometryError as exc:
-            click.echo(f"geometry error: {exc}", err=True)
-            sys.exit(EXIT_SCHEMA)
-        except GuardExceeded as exc:
-            click.echo(f"guard exceeded: {exc}", err=True)
-            sys.exit(EXIT_GUARD)
-
-    return wrapper
 
 
 def _guard_from_env() -> int:
@@ -86,29 +69,12 @@ def _emit(payload: dict, output_path: Path | None) -> None:
     click.echo(text)
 
 
-def _checked_by(check):
-    """Click callback that runs a library validator on the option's value."""
-
-    def callback(ctx, param, value):
-        if value is not None:
-            try:
-                check(value)
-            except ValueError as exc:
-                raise click.BadParameter(str(exc), param=param)
-        return value
-
-    return callback
-
-
-def _modulus(k: int, odd_prime_power: bool = False) -> ModK:
-    """--k as the one modulus type, checked for what the command needs of it; any other k exits 2."""
+def _checked(option: str, check, value):
+    """check(value), a library check on an option's value; its ValueError becomes exit 2 naming the option."""
     try:
-        ring = ModK.from_modulus(k)
-        if odd_prime_power:
-            ring.require_odd_prime_power()
+        return check(value)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--k'")
-    return ring
+        raise click.BadParameter(str(exc), param_hint=f"'{option}'")
 
 
 _input_opt = click.option(
@@ -121,7 +87,24 @@ _output_opt = click.option(
 )
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """The CLI's one error boundary: every command's library input and guard errors become exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SchemaError as exc:
+            click.echo(f"schema error: {exc}", err=True)
+            sys.exit(EXIT_SCHEMA)
+        except GeometryError as exc:
+            click.echo(f"geometry error: {exc}", err=True)
+            sys.exit(EXIT_SCHEMA)
+        except GuardExceeded as exc:
+            click.echo(f"guard exceeded: {exc}", err=True)
+            sys.exit(EXIT_GUARD)
+
+
+@click.group(cls=_ErrorBoundary)
 def main() -> None:
     """Topological invariants of framed links via quadratic Gauss sums."""
 
@@ -131,10 +114,10 @@ def main() -> None:
 @click.option("--method", type=click.Choice(["brute", "factorized"]), default="factorized", show_default=True)
 @_input_opt
 @_output_opt
-@_exit_codes
 def tau_abelian_cmd(k: int, method: str, input_path: Path, output_path: Path | None) -> None:
     """Abelian gauge invariant of the link's 3-manifold."""
-    ring = _modulus(k, odd_prime_power=True)
+    ring = _checked("--k", ModK.from_modulus, k)
+    _checked("--k", ModK.require_odd_prime_power, ring)
     guard = _guard_from_env()
     result = invariants.tau_abelian(_load_link(input_path), ring, method=method, guard=guard)
     _emit(result.to_json_dict(), output_path)
@@ -143,7 +126,6 @@ def tau_abelian_cmd(k: int, method: str, input_path: Path, output_path: Path | N
 @main.command("tau-su2k3")
 @_input_opt
 @_output_opt
-@_exit_codes
 def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
     """Level-3 SU(2) invariant of the link's 3-manifold."""
     guard = _guard_from_env()
@@ -156,10 +138,9 @@ def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
               default="paper", show_default=True, help="Summation range per variable.")
 @_input_opt
 @_output_opt
-@_exit_codes
 def tau_dw_cmd(k: int, range_convention: str, input_path: Path, output_path: Path | None) -> None:
     """Cyclic finite-group invariant of the link's 3-manifold."""
-    k = _modulus(k).k
+    k = _checked("--k", ModK.from_modulus, k).k
     guard = _guard_from_env()
     result = invariants.tau_dw(_load_link(input_path), k, range_convention=range_convention, guard=guard)
     _emit(result.to_json_dict(), output_path)
@@ -170,10 +151,9 @@ def tau_dw_cmd(k: int, range_convention: str, input_path: Path, output_path: Pat
 @click.option("--a", type=int, required=True, help="Quadratic coefficient.")
 @click.option("--method", type=click.Choice(["brute", "closed"]), default="brute", show_default=True)
 @_output_opt
-@_exit_codes
 def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None:
     """Scalar quadratic Gauss sum G(k, a)."""
-    k = _modulus(k).k
+    k = _checked("--k", ModK.from_modulus, k).k
     if method == "brute":
         guard = _guard_from_env()
         if k > guard:
@@ -188,7 +168,6 @@ def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None
 @main.command("linking-matrix")
 @_input_opt
 @_output_opt
-@_exit_codes
 def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
     """Linking matrix of a polygonal link with framings."""
     link = linkgeom.linking_matrix(PolyLink.from_json_dict(_read_json(input_path)))
@@ -204,7 +183,6 @@ def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @_input_opt
 @_output_opt
-@_exit_codes
 def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, seed: int,
               input_path: Path, output_path: Path | None) -> None:
     """Verify invariance under a random script of framed-link moves.
@@ -214,7 +192,9 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
     """
     if invariant in ("abelian", "dw") and k is None:
         raise click.UsageError(f"--k is required for --invariant {invariant}")
-    ring = None if k is None else _modulus(k, odd_prime_power=invariant == "abelian")
+    ring = None if k is None else _checked("--k", ModK.from_modulus, k)
+    if invariant == "abelian":
+        _checked("--k", ModK.require_odd_prime_power, ring)
     guard = _guard_from_env()
     link = _load_link(input_path)
     report = invariants.check_kirby_invariance(
@@ -243,16 +223,16 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
 
 
 @main.command("simulate")
-@click.option("--k", type=click.IntRange(max=qsim.MAX_DIM), required=True, callback=_checked_by(require_odd_prime),
+@click.option("--k", type=click.IntRange(max=qsim.MAX_DIM), required=True,
               help="Register dimension (odd prime <= 1024).")
 @click.option("--a", type=int, required=True, help="Gauss-sum parameter, coprime to k.")
-@click.option("--eps", "epsilon", type=float, default=0.05, show_default=True,
-              callback=_checked_by(qsim.sample_schedule), help="Target phase error.")
+@click.option("--eps", "epsilon", type=float, default=0.05, show_default=True, help="Target phase error.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_output_opt
-@_exit_codes
 def simulate_cmd(k: int, a: int, epsilon: float, seed: int, output_path: Path | None) -> None:
     """Estimate the Gauss-sum phase by simulated interferometric sampling."""
+    _checked("--k", require_odd_prime, k)
+    _checked("--eps", qsim.sample_schedule, epsilon)
     if a % k == 0:
         raise click.BadParameter(f"{a} is not coprime to k={k}", param_hint="'--a'")
     _emit(qsim.estimate_report(k, a, epsilon, seed=seed), output_path)

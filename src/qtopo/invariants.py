@@ -108,8 +108,6 @@ def multivariate_gauss_sum(
 
     num = phase_scale.numerator
     den = phase_scale.denominator
-    if den == 1:
-        return complex(total)  # every term is exp(2*pi*i * integer) = 1
     # with num * J and the residues reduced mod den, every intermediate of
     # ((n @ J) % den * n) stays below m * (den - 1)**2, so int64 is exact
     if m * (den - 1) ** 2 >= 2**63:
@@ -246,6 +244,7 @@ def tau_dw(
     """
     if range_convention not in _DW_RANGES:
         raise ValueError(f"unknown range convention {range_convention!r}")
+    ModK.from_modulus(k)  # the range every modulus has: a k beyond the float range would overflow core / k
     core = multivariate_gauss_sum(link, k, Fraction(1, k), _DW_RANGES[range_convention], guard)
     value = core / k
     return InvariantResult(value=value, method="brute", k=k, m=link.m, normalized=value)

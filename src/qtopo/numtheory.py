@@ -103,14 +103,14 @@ class ModK:
     def valuation(self, n: int) -> int:
         """p-adic valuation of n mod k, capped at e (the valuation of 0); k must be a prime power."""
         n %= self.k
-        if n == 0:
+        if n == 0 and self.p:
             return self.e
         v = 0
         try:
             while n % self.p == 0:
                 n //= self.p
                 v += 1
-        except ZeroDivisionError:  # p = 0: k has two prime factors
+        except ZeroDivisionError:  # p = 0: k has two prime factors, whatever n is
             raise ValueError(f"modulus {self.k} is not a prime power") from None
         return v
 

@@ -6,6 +6,7 @@ import sys
 from datetime import timedelta
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -16,6 +17,7 @@ from geom_helpers import hopf_pair, outward_offsets, polylink_json
 import qtopo
 from qtopo import invariants
 from qtopo.cli import main
+from qtopo.errors import GeometryError, GuardExceeded, SchemaError
 from qtopo.linkgeom import PolyLink
 from qtopo.numtheory import _PROVEN_BELOW
 
@@ -244,6 +246,21 @@ class TestExitCodes:
         touching.write_text(polylink_json(link))
         result = runner.invoke(main, ["tau-su2k3", "-i", str(touching)])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("error,code,first_line", [
+        (SchemaError("/J: bad"), 3, "schema error: /J: bad"),
+        (GeometryError("too close"), 3, "geometry error: too close"),
+        (GuardExceeded("too many terms"), 4, "guard exceeded: too many terms"),
+    ])
+    def test_a_new_command_gets_the_boundary_without_a_decorator(self, runner, monkeypatch, error, code, first_line):
+        def fail():
+            raise error
+
+        monkeypatch.setitem(main.commands, "fail", click.Command("fail", callback=fail))
+        result = runner.invoke(main, ["fail"])
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines()[0] == first_line
 
     def test_guard_exceeded_is_4(self, runner, tmp_path):
         big = tmp_path / "big.json"

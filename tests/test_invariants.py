@@ -113,6 +113,9 @@ class TestMultivariateGaussSum:
             link = FramedLinkMatrix.from_rows([[0] * m for _ in range(m)])
             value = multivariate_gauss_sum(link, k, Fraction(-1, k))
             assert abs(value - k**m) < 1e-9
+        # an integer phase scale (denominator 1) makes every term 1, whatever the matrix
+        link = FramedLinkMatrix.from_rows([[2, 1, 0], [1, -3, 1], [0, 1, 4]])
+        assert multivariate_gauss_sum(link, 5, Fraction(3)) == 5**3
 
     def test_diagonal_form_separates(self):
         link = FramedLinkMatrix.from_rows([[1, 0], [0, 2]])
@@ -255,6 +258,12 @@ class TestTauDw:
     def test_rejects_unknown_range(self):
         with pytest.raises(ValueError):
             tau_dw(FramedLinkMatrix.from_rows([[1]]), 5, "half")
+
+    @pytest.mark.parametrize("k", [1, 10**30, 10**309], ids=["1", "1e30", "1e309"])
+    def test_rejects_a_modulus_out_of_range(self, k):
+        # 10**309 has no float, so the normalization core / k would overflow
+        with pytest.raises(ValueError, match="must be >= 2 and below"):
+            tau_dw(FramedLinkMatrix.from_rows([]), k)
 
 
 class TestKirbyChecks:

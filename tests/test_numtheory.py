@@ -211,7 +211,7 @@ class TestModK:
         assert ring.valuation(0) == 2
         assert ring.valuation(50) == 2
 
-    @pytest.mark.parametrize("k,n", [(6, 3), (6, 1), (15, 5), ((10**18 + 3) * 1009, 1009)])
+    @pytest.mark.parametrize("k,n", [(6, 3), (6, 1), (6, 0), (6, 6), (6, 12), (15, 5), ((10**18 + 3) * 1009, 1009)])
     def test_valuation_needs_a_prime_power(self, k, n):
         with pytest.raises(ValueError, match="not a prime power"):
             ModK.from_modulus(k).valuation(n)
