@@ -9,9 +9,9 @@ beyond the int64 shot range (below about 1.8e-9), and every --k below 2 or
 from 3.3e24 on, where primality is not proven. Each command runs the library
 check its options need (_checked) before it reads the input, so exit 2 wins
 over exit 3. Each --k is a numtheory.ModK, and each command states what it
-needs of it: check --invariant dw takes every k that tau-dw takes. check
-counts a random move script's terms against the guard before it builds the
-script.
+needs of it: check --invariant dw takes every k that tau-dw takes, and
+check --invariant su2k3 takes no --k. check counts a random move script's
+terms against the guard before it builds the script.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """
@@ -176,7 +176,8 @@ def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
 
 @main.command("check")
 @click.option("--invariant", type=click.Choice(["abelian", "su2k3", "dw"]), required=True)
-@click.option("--k", type=int, default=None, help="Modulus for abelian (an odd prime power) and dw.")
+@click.option("--k", type=int, default=None,
+              help="Modulus for abelian (an odd prime power) and dw; su2k3 takes none.")
 @click.option("--range", "range_convention", type=click.Choice(["paper", "full"]), default="full",
               show_default=True, help="Summation range for dw.")
 @click.option("--moves", type=int, default=10, show_default=True, help="Random moves to apply.")
@@ -192,6 +193,8 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
     """
     if invariant in ("abelian", "dw") and k is None:
         raise click.UsageError(f"--k is required for --invariant {invariant}")
+    if invariant == "su2k3" and k is not None:
+        raise click.BadParameter("--invariant su2k3 has the fixed level k=3; leave --k out", param_hint="'--k'")
     ring = None if k is None else _checked("--k", ModK.from_modulus, k)
     if invariant == "abelian":
         _checked("--k", ModK.require_odd_prime_power, ring)

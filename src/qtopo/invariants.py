@@ -12,6 +12,9 @@ brute sum counts how often each exponent residue occurs, exactly, and
 weighs each count by its phase once; only a denominator too large for a
 count array falls back to summing phases chunk by chunk, in a fixed order.
 Either way results are bit-stable across runs.
+
+numpy is imported on first array use, inside the functions that build
+arrays (the brute sum and tau_su2_k3), so the factorized path never loads it.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import GuardExceeded
 from .linkalg import FramedLinkMatrix, blow_down, blow_up, diagonalize_mod_k, handle_slide, signature
 from .numtheory import ModK, gauss_sum_brute
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GUARD = 10**8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -106,6 +110,8 @@ def multivariate_gauss_sum(
     if m == 0:
         return 1.0 + 0.0j
 
+    import numpy as np
+
     num = phase_scale.numerator
     den = phase_scale.denominator
     # with num * J and the residues reduced mod den, every intermediate of
@@ -157,6 +163,8 @@ def _half_box(
     Row t's digits in base width, the first variable most significant, are
     the offsets from lo.
     """
+    import numpy as np
+
     powers = width ** np.arange(h - 1, -1, -1, dtype=np.int64)
     rows = np.arange(start, stop, dtype=np.int64)[:, None] // powers
     rows %= width
@@ -181,12 +189,13 @@ def tau_abelian(
     brute sums exp(-2*pi*i * n^T J n / k) over all residue vectors;
     factorized diagonalizes J mod k and multiplies the scalar Gauss sums of
     the diagonal entries. Topological invariance (up to the blow-up modulus
-    factor sqrt(k)) holds for k = 1 (mod 4); other moduli get a warning.
+    factor sqrt(k)) holds for k = 1 (mod 4); other moduli get a warning
+    after the value, so a call that raises does not warn. (The brute sum may
+    import numpy, which resets the record of warnings shown: a warning issued
+    before it would print twice.)
     """
     ring.require_odd_prime_power()
     k = ring.k
-    if k % 4 != 1:
-        warnings.warn(f"k={k} is not 1 mod 4; the Abelian value is not phase-invariant under blow-ups")
     if method == "brute":
         value = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1, guard)
     elif method == "factorized":
@@ -206,6 +215,8 @@ def tau_abelian(
             value *= gauss_sum_brute(k, entry)
     else:
         raise ValueError(f"unknown method {method!r}")
+    if k % 4 != 1:
+        warnings.warn(f"k={k} is not 1 mod 4; the Abelian value is not phase-invariant under blow-ups")
     normalized = value / k ** (link.m / 2)
     return InvariantResult(value=value, method=method, k=k, m=link.m, normalized=normalized)
 
@@ -216,6 +227,8 @@ def tau_su2_k3(link: FramedLinkMatrix, guard: int = DEFAULT_GUARD) -> InvariantR
     2**(-m/2) * exp(-i*pi*sigma/4) * sum over n in {1,2}^m of
     exp(i*pi * n^T J n / 2), with sigma the exact signature of J.
     """
+    import numpy as np
+
     sig = signature(link)
     core = multivariate_gauss_sum(link, 3, Fraction(1, 4), SumRange.ONE_TWO, guard)
     value = complex(2 ** (-link.m / 2) * np.exp(-0.25j * math.pi * sig) * core)

@@ -143,14 +143,19 @@ def _reduce_symmetric(
     dominates because both diagonal entries have strictly larger valuation
     and 2 is a unit. The pivot is swapped to t, then eliminate(t, v) clears
     its row and column. Slides and swaps act on the columns of u as well.
+    A diagonal unit (valuation 0, the least there is; cap >= 1) is the first
+    pivot the full scan would take, so the block is scanned only without one.
     """
     m = len(a)
     swaps = 0
     for t in range(m):
-        vmin = min(valuation(a[r][c]) for r in range(t, m) for c in range(t, m))
-        if vmin >= cap:
-            break
-        diag = next((i for i in range(t, m) if valuation(a[i][i]) == vmin), None)
+        vmin = 0
+        diag = next((i for i in range(t, m) if valuation(a[i][i]) == 0), None)
+        if diag is None:
+            vmin = min(valuation(a[r][c]) for r in range(t, m) for c in range(t, m))
+            if vmin >= cap:
+                break
+            diag = next((i for i in range(t, m) if valuation(a[i][i]) == vmin), None)
         if diag is None:
             i, j = next(
                 (r, c)

@@ -15,6 +15,9 @@ both linking_matrix and linking_number first centre the curves' bounding
 box at the origin and scale its longest side to 1 (delta alike). The
 tolerances below are therefore relative to the curves' extent, and no
 coordinate can overflow in the checks at any scale.
+
+numpy is imported on first array use, inside each function that uses it, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -22,11 +25,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GeometryError, SchemaError, decode_json
 from .linkalg import FramedLinkMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    Curve = np.ndarray  # (n, 3) float array, vertices of a closed polygon
 
 # Floor on segment separation, relative to the extent of the curves checked;
 # below it the direction map is numerically meaningless and the curves may as
@@ -35,8 +42,6 @@ MIN_SEPARATION = 1e-9
 
 # Pre-rounding distance to the nearest integer that we accept as exact.
 RESIDUAL_TOL = 1e-6
-
-Curve = np.ndarray  # (n, 3) float array, vertices of a closed polygon
 
 
 def _is_number(x: object) -> bool:
@@ -56,6 +61,8 @@ class PolyLink:
 
     def __post_init__(self) -> None:
         """The one link validator; errors name the field as a JSON pointer."""
+        import numpy as np
+
         if len(self.components) != len(self.framings):
             raise ValueError("one framing offset field required per component")
         for idx, (curve, offs) in enumerate(zip(self.components, self.framings)):
@@ -72,6 +79,8 @@ class PolyLink:
     @classmethod
     def from_json_dict(cls, data: object) -> "PolyLink":
         """Check the JSON types of the polygonal-link schema; the values are checked on construction."""
+        import numpy as np
+
         if not isinstance(data, dict):
             raise SchemaError("/: expected a JSON object")
         if "components" not in data:
@@ -104,6 +113,8 @@ class PolyLink:
 
 def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], float]:
     """The curves with their bounding box centred at the origin and its longest side 1, and delta scaled alike."""
+    import numpy as np
+
     pts = np.concatenate(curves)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     half = float((hi / 2 - lo / 2).max())  # halves first, as hi - lo can overflow
@@ -114,12 +125,16 @@ def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], f
 
 
 def _segments(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     pts = np.asarray(curve, dtype=float)
     return pts, np.roll(pts, -1, axis=0)
 
 
 def _segment_distance(p0, p1, q0, q1) -> float:
     """Minimum distance between two segments (clamped closest points)."""
+    import numpy as np
+
     u = p1 - p0
     v = q1 - q0
     w = p0 - q0
@@ -166,6 +181,8 @@ def _check_disjoint(a: Curve, b: Curve, label: str) -> None:
 
 def _triangle_solid_angle(a, b, c) -> np.ndarray:
     """Signed solid angle of spherical triangles with unit-vector corners."""
+    import numpy as np
+
     num = np.einsum("...i,...i->...", a, np.cross(b, c))
     den = (
         1.0
@@ -184,6 +201,8 @@ def gauss_integral(a: Curve, b: Curve) -> float:
     triangulated with the solid-angle formula. Returns the integral value
     (an integer for genuinely disjoint closed curves) before rounding.
     """
+    import numpy as np
+
     a0, a1 = _segments(np.asarray(a, dtype=float))
     b0, b1 = _segments(np.asarray(b, dtype=float))
 
@@ -222,6 +241,8 @@ def linking_number(a: Curve, b: Curve) -> int:
 
 
 def push_off(curve: Curve, offsets: Curve, delta: float) -> Curve:
+    import numpy as np
+
     return np.asarray(curve, dtype=float) + delta * np.asarray(offsets, dtype=float)
 
 

@@ -16,16 +16,22 @@ projected and checked once, and time and memory grow as O(k).
 
 A StateVector is confined to one worker at a time; independent estimation
 trials draw their generators from numpy SeedSequence spawning.
+
+numpy is imported on first array use, inside each function that builds
+arrays, so importing this module (for MAX_DIM or sample_schedule, say) does
+not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numtheory import Character, gauss_sum_brute, primitive_root, require_odd_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest register dimension, part of simulate's interface. The simulation is O(k); the cap keeps
 # the dense k x k oracles that tests compare it with (qft_matrix, the whole kickback) near 10^6 amplitudes.
@@ -65,6 +71,8 @@ class StateVector:
 
 def apply_unitary(state: StateVector, matrix: np.ndarray, reg: int) -> StateVector:
     """Apply a dense unitary to one register of a (possibly joint) state."""
+    import numpy as np
+
     if not 0 <= reg < state.regs:
         raise ValueError(f"register {reg} out of range for {state.regs} registers")
     d = state.dims[reg]
@@ -81,6 +89,8 @@ def qft_matrix(k: int, a: int = 1) -> np.ndarray:
     The optional multiplier a composes the transform with the relabeling
     p -> a*p; the matrix is unitary whenever gcd(a, k) = 1.
     """
+    import numpy as np
+
     if math.gcd(a, k) != 1:
         raise ValueError(f"parameter a={a} is not coprime to k={k}")
     grid = np.outer(np.arange(k), np.arange(k) * (a % k)) % k
@@ -89,6 +99,8 @@ def qft_matrix(k: int, a: int = 1) -> np.ndarray:
 
 def legendre_amplitudes(k: int) -> np.ndarray:
     """Reference amplitudes chi(n)/sqrt(k-1) of the character state."""
+    import numpy as np
+
     chi = Character.legendre(k)
     return np.array(chi.table, dtype=np.complex128) / math.sqrt(k - 1)
 
@@ -109,6 +121,8 @@ def prepare_legendre_state(k: int) -> StateVector:
     built, projected and checked once, and its amplitude goes to every
     residue with that shift. Row 0 holds no amplitude and projects to 0.
     """
+    import numpy as np
+
     require_odd_prime(k)
     if k > MAX_DIM:
         raise ValueError(f"k={k} exceeds the simulator cap {MAX_DIM}")
@@ -149,6 +163,8 @@ def gauss_phase_encode(state: StateVector, a: int) -> StateVector:
     factor G(k, a)/sqrt(k). (The follow-up character relabeling in the
     construction squares the +-1 character and is the identity.)
     """
+    import numpy as np
+
     if state.regs != 1:
         raise ValueError("expected a single-register character state")
     k = state.k
@@ -200,6 +216,8 @@ def phase_estimate(k: int, a: int, epsilon: float, seed: int = 0) -> PhaseEstima
     draws a seed gives: any change in how the amplitudes are rounded can
     move phi_hat under a fixed seed, within the same confidence interval.
     """
+    import numpy as np
+
     if math.gcd(a, k) != 1:
         raise ValueError(f"a={a} is not coprime to k={k}")
     shots = sample_schedule(epsilon)
@@ -235,6 +253,8 @@ def phase_estimate(k: int, a: int, epsilon: float, seed: int = 0) -> PhaseEstima
 
 def true_phase(k: int, a: int) -> float:
     """Reference phase arg(G(k, a)/sqrt(k)) from the brute-force sum."""
+    import numpy as np
+
     return float(np.angle(gauss_sum_brute(k, a) / math.sqrt(k)))
 
 

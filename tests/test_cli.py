@@ -174,6 +174,48 @@ class TestCheckCommand:
         assert proc.stderr.count("UserWarning") == 1
 
 
+_NUMPY_FREE_CHILD = """
+import contextlib, io, sys
+import qtopo, qtopo.cli
+from qtopo import errors, invariants, linkalg, linkgeom, numtheory, qsim
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        qtopo.cli.main(list(args), standalone_mode=False)
+    return out.getvalue()
+
+path = sys.argv[1]
+run("gauss-sum", "--k", "13", "--a", "2", "--method", "brute")
+run("gauss-sum", "--k", "13", "--a", "2", "--method", "closed")
+run("tau-abelian", "--k", "13", "-i", path)
+link = linkalg.FramedLinkMatrix.from_json(open(path).read())
+linkalg.signature(link)
+linkalg.diagonalize_mod_k(link, numtheory.ModK.from_modulus(13))
+print("numpy" in sys.modules)
+sys.stdout.write(run("tau-su2k3", "-i", path))
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_where_arrays_are_built(tmp_path):
+    """Imports, both gauss-sum methods and the factorized Abelian path never load numpy; tau-su2k3 loads it."""
+    env = dict(os.environ)
+    src = str(Path(qtopo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"m": 3, "J": [[2, 1, 0], [1, -3, 1], [0, 1, 1]]}))
+
+    def child(*args):
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    before, *su2k3, after = child("-c", _NUMPY_FREE_CHILD, str(path)).splitlines(keepends=True)
+    assert (before, after) == ("False\n", "True\n")
+    assert "".join(su2k3) == child("-m", "qtopo.cli", "tau-su2k3", "-i", str(path))
+
+
 class TestSimulateCommand:
     def test_k5_a2(self, runner):
         result = runner.invoke(main, ["simulate", "--k", "5", "--a", "2", "--eps", "0.05", "--seed", "7"])
@@ -211,7 +253,7 @@ class TestModuli:
             (["check", "--invariant", "abelian", "--moves", "0", "-i", "hopf.json"], {3, 9, 25}),
             (["tau-dw", "-i", "hopf.json"], _BELOW_BOUND),
             (["check", "--invariant", "dw", "--moves", "0", "-i", "hopf.json"], _BELOW_BOUND),
-            (["check", "--invariant", "su2k3", "--moves", "0", "-i", "hopf.json"], _BELOW_BOUND),
+            (["check", "--invariant", "su2k3", "--moves", "0", "-i", "hopf.json"], set()),  # level 3, no --k
             (["gauss-sum", "--a", "1"], _BELOW_BOUND),
             (["simulate", "--a", "1"], {3}),
         ],
@@ -286,8 +328,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("invariant", ["abelian", "dw", "su2k3"])
     @pytest.mark.parametrize("guard", ["0", "-5"])
     def test_check_with_guard_below_one_is_4(self, runner, unknot_p1, invariant, guard):
+        modulus = [] if invariant == "su2k3" else ["--k", "5"]
         result = runner.invoke(
-            main, ["check", "--invariant", invariant, "--k", "5", "-i", str(unknot_p1)],
+            main, ["check", "--invariant", invariant, *modulus, "-i", str(unknot_p1)],
             env={"QTOPO_GUARD": guard},
         )
         assert result.exit_code == 4

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qtopo import linkalg
 from qtopo.errors import SchemaError
 from qtopo.invariants import SumRange, multivariate_gauss_sum
 from qtopo.linkalg import (
@@ -311,3 +312,85 @@ class TestDiagonalizeModK:
         for _ in range(20):
             link = random_symmetric(rng, 4)
             assert det_int(diagonalize_mod_k(link, ring).U) == 1
+
+
+def _full_scan_driver(a, u, valuation, cap, eliminate):
+    """The symmetric-elimination driver without the diagonal-unit shortcut: every pivot from a full scan."""
+    m = len(a)
+    swaps = 0
+    for t in range(m):
+        vmin = min(valuation(a[r][c]) for r in range(t, m) for c in range(t, m))
+        if vmin >= cap:
+            break
+        diag = next((i for i in range(t, m) if valuation(a[i][i]) == vmin), None)
+        if diag is None:
+            i, j = next((r, c) for r in range(t, m) for c in range(t, m) if r != c and valuation(a[r][c]) == vmin)
+            for row in a:
+                row[i] += row[j]
+            for c in range(m):
+                a[i][c] += a[j][c]
+            for row in u:
+                row[i] += row[j]
+            diag = i
+        if diag != t:
+            a[diag], a[t] = a[t], a[diag]
+            for rows in (a, u):
+                for row in rows:
+                    row[diag], row[t] = row[t], row[diag]
+            swaps += 1
+        eliminate(t, vmin)
+    return swaps
+
+
+_SHORTCUT_DRIVER = linkalg._reduce_symmetric
+
+
+class TestPivotShortcut:
+    """The driver's diagonal-unit shortcut takes the same pivots as a full scan of the active block."""
+
+    @staticmethod
+    def _run(monkeypatch, driver, compute):
+        """compute()'s result and its pivots (step, valuation, pivot entry, U so far) under the given driver."""
+        pivots = []
+
+        def recording(a, u, valuation, cap, eliminate):
+            def step(t, v):
+                pivots.append((t, v, a[t][t], tuple(map(tuple, u))))
+                eliminate(t, v)
+
+            return driver(a, u, valuation, cap, step)
+
+        monkeypatch.setattr(linkalg, "_reduce_symmetric", recording)
+        return compute(), pivots
+
+    @staticmethod
+    def _matrices(seed, p):
+        """Seeded symmetric matrices, half of them with every diagonal entry divisible by p (no diagonal unit)."""
+        rng = random.Random(seed)
+        for n in range(24):
+            m = rng.randint(1, 6)
+            rows = [list(row) for row in random_symmetric(rng, m, -30, 30).J]
+            if n % 2:
+                for i in range(m):
+                    rows[i][i] = p * rng.randint(-4, 4)
+            yield FramedLinkMatrix.from_rows(rows)
+
+    def _check(self, monkeypatch, links, compute, is_unit):
+        scanned = 0
+        for link in links:
+            fast = self._run(monkeypatch, _SHORTCUT_DRIVER, lambda: compute(link))
+            full = self._run(monkeypatch, _full_scan_driver, lambda: compute(link))
+            assert fast == full
+            # the first pivot came from the scan: no diagonal unit, yet the block was not zero
+            scanned += not any(is_unit(row[i]) for i, row in enumerate(link.J)) and bool(full[1])
+        assert scanned
+
+    @pytest.mark.parametrize("k", [3, 9, 25, 27, 125])
+    def test_diagonalize_mod_k(self, monkeypatch, k):
+        ring = ModK.from_modulus(k)
+        self._check(monkeypatch, self._matrices(k, ring.p), lambda link: diagonalize_mod_k(link, ring),
+                    lambda x: x % ring.p != 0)
+
+    def test_signature(self, monkeypatch):
+        # p = 0: half the matrices have a zero diagonal
+        self._check(monkeypatch, self._matrices(7, 0), signature, lambda x: x != 0)
