@@ -169,6 +169,8 @@ def _cases() -> list[dict]:
     add(["check", "--invariant", "su2k3", "--seed", "-1", "-i", "{input}"], "hopf")
     add(["check", "--invariant", "su2k3", "--moves", "-3", "-i", "{input}"], "hopf")
     add(["check", "--invariant", "su2k3", "--k", "7", "-i", "{input}"], "hopf")
+    add(["check", "--invariant", "su2k3", "--range", "paper", "-i", "{input}"], "hopf")
+    add(["check", "--invariant", "abelian", "--k", "5", "--range", "paper", "-i", "{input}"], "hopf")
     for guard in ("0", "-5", "x"):
         add(["check", "--invariant", "dw", "--k", "5", "-i", "{input}"], "unknot-p1", guard=guard)
     add(["check", "--invariant", "dw", "--k", "5", "--moves", "10", "-i", "{input}"], "hopf", guard="200")
@@ -198,6 +200,7 @@ def _cases() -> list[dict]:
     add(["check", "--invariant", "abelian", "--k", "4", "-i", "{input}"], "not-json")
     add(["tau-dw", "--k", "1", "-i", "{input}"], "not-json")
     add(["check", "--invariant", "su2k3", "--k", "7", "-i", "{input}"], "not-json")
+    add(["check", "--invariant", "su2k3", "--range", "paper", "-i", "{input}"], "not-json")
     for first, second in ((["--k", "4"], ["--seed", "-1"]), (["--k", "4"], ["--eps", "1.5"])):
         add(["simulate", *first, "--a", "1", *second])
         add(["simulate", *second, "--a", "1", *first])
