@@ -10,8 +10,9 @@ from 3.3e24 on, where primality is not proven. Each command runs the library
 check its options need (_checked) before it reads the input, so exit 2 wins
 over exit 3. Each --k is a numtheory.ModK, and each command states what it
 needs of it: check --invariant dw takes every k that tau-dw takes, and
-check --invariant su2k3 takes no --k. check counts a random move script's
-terms against the guard before it builds the script.
+check --invariant su2k3 takes no --k. Only dw takes check --range paper;
+the other invariants sum the whole group. check counts a random move
+script's terms against the guard before it builds the script.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """
@@ -179,7 +180,7 @@ def linking_matrix_cmd(input_path: Path, output_path: Path | None) -> None:
 @click.option("--k", type=int, default=None,
               help="Modulus for abelian (an odd prime power) and dw; su2k3 takes none.")
 @click.option("--range", "range_convention", type=click.Choice(["paper", "full"]), default="full",
-              show_default=True, help="Summation range for dw.")
+              show_default=True, help="Summation range for dw; abelian and su2k3 sum the whole group (full).")
 @click.option("--moves", type=int, default=10, show_default=True, help="Random moves to apply.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_input_opt
@@ -195,6 +196,9 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
         raise click.UsageError(f"--k is required for --invariant {invariant}")
     if invariant == "su2k3" and k is not None:
         raise click.BadParameter("--invariant su2k3 has the fixed level k=3; leave --k out", param_hint="'--k'")
+    if invariant != "dw" and range_convention == "paper":
+        raise click.BadParameter(f"--invariant {invariant} sums the whole group; --range paper is for dw only",
+                                 param_hint="'--range'")
     ring = None if k is None else _checked("--k", ModK.from_modulus, k)
     if invariant == "abelian":
         _checked("--k", ModK.require_odd_prime_power, ring)

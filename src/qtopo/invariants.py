@@ -44,18 +44,17 @@ Method = Literal["brute", "factorized"]
 
 
 class SumRange(enum.Enum):
-    """Summation range per spin variable, as written in each formula."""
+    """Summation range per variable, valued by the CLI's --range words.
 
-    ZERO_TO_KM1 = "0..k-1"
-    ONE_TWO = "1..2"
-    ONE_TO_KM1 = "1..k-1"
+    "full" is the whole group 0..k-1; "paper" is the nonzero residues 1..k-1,
+    as the dw formula is written.
+    """
+
+    ZERO_TO_KM1 = "full"
+    ONE_TO_KM1 = "paper"
 
     def bounds(self, k: int) -> tuple[int, int]:
-        return {
-            SumRange.ZERO_TO_KM1: (0, k - 1),
-            SumRange.ONE_TWO: (1, 2),
-            SumRange.ONE_TO_KM1: (1, k - 1),
-        }[self]
+        return (0 if self is SumRange.ZERO_TO_KM1 else 1, k - 1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,8 @@ def multivariate_gauss_sum(
 
     phase_scale encodes each invariant's convention (for example -1/k for
     the Abelian partition sum, +1/4 when the written exponent is i*pi/2 per
-    unit of the quadratic form, +1/k for the finite-group sum). The range
-    enum selects which box each variable runs over.
+    unit of the quadratic form, +1/k for the finite-group sum). offset_range
+    is the box each variable runs over: the whole group Z/k, or 1..k-1.
     """
     if k < 2:
         raise ValueError(f"modulus {k} must be >= 2")
@@ -226,27 +225,21 @@ def tau_su2_k3(link: FramedLinkMatrix, guard: int = DEFAULT_GUARD) -> InvariantR
 
     2**(-m/2) * exp(-i*pi*sigma/4) * sum over n in {1,2}^m of
     exp(i*pi * n^T J n / 2), with sigma the exact signature of J.
+    i**(n^T J n) depends only on n mod 2, so the sum is the group sum over
+    (Z/2)^m: the same residues mod 4, counted the same number of times.
     """
     import numpy as np
 
     sig = signature(link)
-    core = multivariate_gauss_sum(link, 3, Fraction(1, 4), SumRange.ONE_TWO, guard)
+    core = multivariate_gauss_sum(link, 2, Fraction(1, 4), SumRange.ZERO_TO_KM1, guard)
     value = complex(2 ** (-link.m / 2) * np.exp(-0.25j * math.pi * sig) * core)
     return InvariantResult(value=value, method="brute", k=3, m=link.m, normalized=value)
-
-
-DwRange = Literal["paper", "full"]
-
-_DW_RANGES: dict[str, SumRange] = {
-    "paper": SumRange.ONE_TO_KM1,
-    "full": SumRange.ZERO_TO_KM1,
-}
 
 
 def tau_dw(
     link: FramedLinkMatrix,
     k: int,
-    range_convention: DwRange = "paper",
+    range_convention: str = "paper",
     guard: int = DEFAULT_GUARD,
 ) -> InvariantResult:
     """Finite-group (cyclic Z_k) invariant: normalized positive-exponent sum.
@@ -255,10 +248,9 @@ def tau_dw(
     the zero residue from each variable ("paper"); "full" sums the whole
     group, which is the convention that is exactly handle-slide invariant.
     """
-    if range_convention not in _DW_RANGES:
-        raise ValueError(f"unknown range convention {range_convention!r}")
+    offset_range = SumRange(range_convention)  # a ValueError for any other word
     ModK.from_modulus(k)  # the range every modulus has: a k beyond the float range would overflow core / k
-    core = multivariate_gauss_sum(link, k, Fraction(1, k), _DW_RANGES[range_convention], guard)
+    core = multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard)
     value = core / k
     return InvariantResult(value=value, method="brute", k=k, m=link.m, normalized=value)
 
@@ -348,12 +340,12 @@ def _worst(deviations) -> float:
     return max([0.0, *deviations])
 
 
-def _su2k3_law(values: list[complex], script: list[Move], k: int, range_convention: DwRange):
+def _su2k3_law(values: list[complex], script: list[Move], k: int, range_convention: str):
     dev = _worst(abs(value - values[0]) for value in values[1:])
     return [PropertyCheck("value_invariance", True, dev < _KIRBY_TOL, dev)], []
 
 
-def _abelian_law(values: list[complex], script: list[Move], k: int, range_convention: DwRange):
+def _abelian_law(values: list[complex], script: list[Move], k: int, range_convention: str):
     before = values[0]
     steps = ({"blow_up": 1, "blow_down": -1}.get(move[0], 0) for move in script)
     expected = [abs(before) * k ** (net_blowups / 2) for net_blowups in itertools.accumulate(steps)]
@@ -367,7 +359,7 @@ def _abelian_law(values: list[complex], script: list[Move], k: int, range_conven
     return checks, notes
 
 
-def _dw_law(values: list[complex], script: list[Move], k: int, range_convention: DwRange):
+def _dw_law(values: list[complex], script: list[Move], k: int, range_convention: str):
     slide_devs, notes = [], []
     for move, prev, value in zip(script, values, values[1:]):
         if move[0] == "slide":
@@ -384,7 +376,8 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
 
 # invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention),
 #               (modulus, box width) or None for ring.k as both, a random script's m_cap or None for one from the
-#               guard); evaluate looks the tau_* function up when called, so a patched one is the one timed
+#               guard); su2k3's (3, 2) is its level, printed as k, and its (Z/2)^m box of width 2;
+#               evaluate looks the tau_* function up when called, so a patched one is the one timed
 _KIRBY_LAWS = {
     "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link, guard=guard).value, _su2k3_law, (3, 2), 16),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
@@ -400,7 +393,7 @@ def check_kirby_invariance(
     moves: int | Sequence[Move],
     seed: int = 0,
     ring: ModK | None = None,
-    range_convention: DwRange = "full",
+    range_convention: str = "full",
     guard: int = DEFAULT_GUARD,
 ) -> KirbyReport:
     """Apply a move script, evaluating after each move, and verify the invariance law of the chosen invariant.

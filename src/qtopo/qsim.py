@@ -14,8 +14,8 @@ is, not compiled to elementary gates. That shift takes only two values, so
 the kickback's two-register state has only two distinct rows: each is built,
 projected and checked once, and time and memory grow as O(k).
 
-A StateVector is confined to one worker at a time; independent estimation
-trials draw their generators from numpy SeedSequence spawning.
+A StateVector is confined to one worker at a time; each phase_estimate call
+draws its shots from one np.random.default_rng(seed).
 
 numpy is imported on first array use, inside each function that builds
 arrays, so importing this module (for MAX_DIM or sample_schedule, say) does

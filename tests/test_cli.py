@@ -156,6 +156,15 @@ class TestCheckCommand:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("invariant,modulus", [("su2k3", []), ("abelian", ["--k", "5"]), ("dw", ["--k", "5"])])
+    @pytest.mark.parametrize("rng", ["paper", "full"])
+    def test_range_paper_is_for_dw_only(self, runner, hopf_matrix, invariant, modulus, rng):
+        result = runner.invoke(main, ["check", "--invariant", invariant, *modulus, "--range", rng,
+                                      "--moves", "0", "-i", str(hopf_matrix)])
+        assert result.exit_code == (2 if rng == "paper" and invariant != "dw" else 0), result.output
+        if result.exit_code == 2:
+            assert "--range paper is for dw only" in result.output
+
     def test_missing_k_is_config_error(self, runner, hopf_matrix):
         result = runner.invoke(main, ["check", "--invariant", "abelian", "-i", str(hopf_matrix)])
         assert result.exit_code == 2

@@ -75,12 +75,24 @@ class TestMultivariateGaussSum:
         cases = [
             (random_symmetric(rng, 5), 5, Fraction(-1, 5), SumRange.ZERO_TO_KM1),
             (random_symmetric(rng, 4), 7, Fraction(1, 7), SumRange.ONE_TO_KM1),
-            (random_symmetric(rng, 8), 3, Fraction(1, 4), SumRange.ONE_TWO),
+            (random_symmetric(rng, 8), 3, Fraction(1, 4), SumRange.ONE_TO_KM1),
             (FramedLinkMatrix.from_rows([[10**20 + 1]]), 40, Fraction(-1, 5), SumRange.ZERO_TO_KM1),
         ]
         default = [multivariate_gauss_sum(*case) for case in cases]
         monkeypatch.setattr(invariants, "_CHUNK", 7)
         assert [multivariate_gauss_sum(*case) for case in cases] == default
+
+    def test_su2k3_box_is_the_z2_group_sum(self):
+        # i**(n^T J n) depends only on n mod 2, and n -> n mod 2 maps {1, 2}^m onto (Z/2)^m one to one,
+        # so both boxes give the same residue counts mod 4 and the same value, bit for bit
+        rng = random.Random(22)
+        large = 0
+        for _ in range(100):
+            link = random_symmetric(rng, rng.randint(0, 12), *rng.choice(((-9, 9), (-(2**40), 2**40))))
+            large += any(abs(x) >= 2**31 for row in link.J for x in row)
+            assert (multivariate_gauss_sum(link, 3, Fraction(1, 4), SumRange.ONE_TO_KM1)
+                    == multivariate_gauss_sum(link, 2, Fraction(1, 4), SumRange.ZERO_TO_KM1))
+        assert large >= 20
 
     def test_large_denominator_allocates_no_counts(self):
         den = 10**9 + 7
@@ -88,12 +100,12 @@ class TestMultivariateGaussSum:
         phase = Fraction(1, den)
         tracemalloc.start()
         try:
-            value = multivariate_gauss_sum(FramedLinkMatrix.from_rows(rows), 3, phase, SumRange.ONE_TWO)
+            value = multivariate_gauss_sum(FramedLinkMatrix.from_rows(rows), 3, phase, SumRange.ONE_TO_KM1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # a count per residue would take 8 GB
-        assert rel_gap(value, oracle_gauss_sum(rows, 3, phase, SumRange.ONE_TWO)) <= 1e-9
+        assert rel_gap(value, oracle_gauss_sum(rows, 3, phase, SumRange.ONE_TO_KM1)) <= 1e-9
 
     def test_oversized_half_matches_scalar_sum(self):
         # one variable over more residues than fit in a chunk
