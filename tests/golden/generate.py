@@ -76,6 +76,9 @@ INPUTS = {
     "ragged": '{"J": [[0, 1], []]}',
     "asymmetric": '{"m": 2, "J": [[0, 1], [2, 0]]}',
     "wrong-m": '{"m": 3, "J": [[0]]}',
+    "m-true": '{"m": true, "J": [[1]]}',
+    "m-float": '{"m": 1.0, "J": [[1]]}',
+    "m-string": '{"m": "1", "J": [[1]]}',
     "not-json": "{[",
     "not-object": "[1, 2]",
     "poly-hopf": _polylink(_HOPF, 0.2),
@@ -133,6 +136,9 @@ def _cases() -> list[dict]:
     for name in BAD:
         add(["tau-su2k3", "-i", "{input}"], name)
         add(["tau-dw", "--k", "5", "-i", "{input}"], name)
+    # a declared m that is not an integer, though it equals the row count
+    for name in ("m-true", "m-float", "m-string"):
+        add(["tau-su2k3", "-i", "{input}"], name)
     add(["tau-su2k3", "-i", "{input}", "-o", "{output}"], "hopf")
     add(["tau-su2k3"])
     for k in (2, 3, 4, 5, 9, 13, 25, 1009):
