@@ -5,14 +5,15 @@ error, 4 guard exceeded (too many terms, or a value beyond the float range),
 5 property-check failure. The command group is the one error boundary: it
 maps every command's schema, geometry and guard errors to exits 3 and 4.
 Invalid configuration includes a negative simulate --seed, a simulate --eps
-beyond the int64 shot range (below about 1.8e-9), and every --k below 2 or
-from 3.3e24 on, where primality is not proven. Each command runs the library
-check its options need (_checked) before it reads the input, so exit 2 wins
-over exit 3. Each --k is a numtheory.ModK, and each command states what it
-needs of it: check --invariant dw takes every k that tau-dw takes, and
-check --invariant su2k3 takes no --k. Only dw takes check --range paper;
-the other invariants sum the whole group. check counts a random move
-script's terms against the guard before it builds the script.
+beyond the int64 shot range (below about 1.8e-9), every --k below 2 or from
+3.3e24 on, where primality is not proven, and an -o file that cannot be
+written. Each command runs the library check its options need (_checked)
+before it reads the input, so exit 2 wins over exit 3. Each --k is a
+numtheory.ModK, and each command states what it needs of it: check
+--invariant dw takes every k that tau-dw takes, and check --invariant su2k3
+takes no --k. Only dw takes check --range paper; the other invariants sum
+the whole group. check counts a random move script's terms against the
+guard before it builds the script.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the enumeration guard (expert use).
 """
@@ -66,7 +67,10 @@ def _load_link(path: Path) -> FramedLinkMatrix:
 def _emit(payload: dict, output_path: Path | None) -> None:
     text = json.dumps(payload, sort_keys=True)
     if output_path is not None:
-        output_path.write_text(text + "\n")
+        try:
+            output_path.write_text(text + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"--output: {exc}")
     click.echo(text)
 
 
@@ -159,10 +163,12 @@ def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None
         guard = _guard_from_env()
         if k > guard:
             raise GuardExceeded(f"{k} terms exceeds guard {guard}")
-    try:
-        value = gauss_sum_brute(k, a) if method == "brute" else gauss_sum_closed(k, a)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        value = gauss_sum_brute(k, a)
+    else:
+        _checked("--k", require_odd_prime, k)
+        if a % k == 0:
+            raise click.BadParameter(f"{a} is not coprime to k={k}", param_hint="'--a'")
+        value = gauss_sum_closed(k, a)
     _emit({"k": k, "a": a, "method": method, "re": value.real, "im": value.imag}, output_path)
 
 

@@ -61,8 +61,11 @@ class FramedLinkMatrix:
         rows = data["J"]
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise SchemaError("/J: expected a list of rows")
-        if "m" in data and data["m"] != len(rows):
-            raise SchemaError(f"/m: declared {data['m']} but J has {len(rows)} rows")
+        if "m" in data:
+            if not isinstance(data["m"], int) or isinstance(data["m"], bool):
+                raise SchemaError("/m: expected an integer")
+            if data["m"] != len(rows):
+                raise SchemaError(f"/m: declared {data['m']} but J has {len(rows)} rows")
         return cls(J=tuple(tuple(row) for row in rows))
 
     @classmethod

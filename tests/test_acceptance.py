@@ -151,7 +151,7 @@ def test_criterion_08_simulator_algebra():
             chi = prepare_legendre_state(k)
             for a in range(1, k):
                 out = gauss_phase_encode(chi, a)
-                overlap = complex(np.vdot(chi.amps, out.amps))
+                overlap = complex(np.vdot(chi, out))
                 assert abs(overlap) >= 1.0 - 1e-9, (k, a)
                 expected = gauss_sum_brute(k, a) / math.sqrt(k)
                 gap = circular_distance(math.atan2(overlap.imag, overlap.real),

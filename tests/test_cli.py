@@ -381,6 +381,36 @@ class TestExitCodes:
         assert "guard exceeded: |value| = 1009**(206/2)" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("target", ["missing-dir", "under-a-file"])
+    @pytest.mark.parametrize(
+        "args,input_fixture",
+        [
+            (["tau-abelian", "--k", "5"], "hopf_matrix"),
+            (["tau-su2k3"], "hopf_matrix"),
+            (["tau-dw", "--k", "5"], "hopf_matrix"),
+            (["gauss-sum", "--k", "5", "--a", "1"], None),
+            (["linking-matrix"], "hopf_polylink"),
+            (["check", "--invariant", "dw", "--k", "5", "--moves", "3"], "hopf_matrix"),
+            # a check that fails (exit 5) writes its report first, so the write failure wins
+            pytest.param(["check", "--invariant", "abelian", "--k", "7", "--moves", "3"], "hopf_matrix",
+                         marks=pytest.mark.filterwarnings("ignore:k=7 is not 1 mod 4")),
+            (["simulate", "--k", "5", "--a", "1"], None),
+        ],
+        ids=["tau-abelian", "tau-su2k3", "tau-dw", "gauss-sum", "linking-matrix", "check", "check-failing",
+             "simulate"],
+    )
+    def test_unwritable_output_is_2(self, runner, request, tmp_path, args, input_fixture, target):
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / ("no-such-dir" if target == "missing-dir" else "a-file") / "out.json"
+        if input_fixture is not None:
+            args = [*args, "-i", str(request.getfixturevalue(input_fixture))]
+        result = runner.invoke(main, [*args, "-o", str(out)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error: --output: [Errno ")
+        assert str(out) in result.stderr
+
     def test_missing_input_is_2(self, runner):
         result = runner.invoke(main, ["tau-su2k3", "-i", "no_such_file.json"])
         assert result.exit_code == 2

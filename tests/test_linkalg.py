@@ -105,6 +105,9 @@ class TestFramedLinkMatrix:
         [
             ('{"m": 2, "J": [[0, 1], [2, 0]]}', "/J/0/1"),
             ('{"m": 3, "J": [[0]]}', "/m"),
+            ('{"m": true, "J": [[1]]}', "/m: expected an integer"),
+            ('{"m": 1.0, "J": [[1]]}', "/m: expected an integer"),
+            ('{"m": "1", "J": [[1]]}', "/m: expected an integer"),
             ('{"J": [[0, 1]]}', "/J/0"),
             ('{"J": [[0, 1], []]}', "/J/1"),
             ('{"J": [[0.5]]}', "/J/0/0"),

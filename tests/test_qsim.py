@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtopo.numtheory import gauss_sum_brute, primitive_root
+from qtopo.numtheory import gauss_sum_brute, is_prime, primitive_root
 from qtopo.qsim import (
     PhaseEstimate,
     StateVector,
@@ -56,6 +56,17 @@ def dense_legendre_state(k: int) -> np.ndarray:
     return main
 
 
+def dense_control_zero_probabilities(chi: np.ndarray, encoded: np.ndarray) -> tuple[float, float]:
+    """Oracle for the interferometer: the (2, k) joint state, then each control gate applied through apply_unitary."""
+    k = len(chi)
+    # (|0> + |1>)/sqrt(2) (x) |chi>, then the encode conditioned on the control
+    state = StateVector(dims=(2, k), amps=np.concatenate([chi, encoded]) / math.sqrt(2.0))
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+    to_imag = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=np.complex128) / math.sqrt(2.0)
+    blocks = [apply_unitary(state, gate, 0).amps.reshape(2, k)[0] for gate in (hadamard, to_imag)]
+    return tuple(float(np.real(np.vdot(block, block))) for block in blocks)
+
+
 class TestQft:
     def test_zero_state_goes_uniform(self):
         out = apply_unitary(basis(3, 0), qft_matrix(3), 0)
@@ -100,22 +111,22 @@ class TestPrepareLegendreState:
     def test_k5_amplitudes(self):
         state = prepare_legendre_state(5)
         expected = np.array([0.0, 0.5, -0.5, -0.5, 0.5])
-        assert np.abs(state.amps - expected).max() < 1e-10
+        assert np.abs(state - expected).max() < 1e-10
 
     def test_k3_amplitudes(self):
         state = prepare_legendre_state(3)
         expected = np.array([0.0, 1.0, -1.0]) / math.sqrt(2)
-        assert np.abs(state.amps - expected).max() < 1e-10
+        assert np.abs(state - expected).max() < 1e-10
 
     def test_normalized_with_zero_vacancy(self):
         for k in (3, 5, 7, 11, 13):
             state = prepare_legendre_state(k)
-            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
-            assert state.amps[0] == 0.0
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+            assert state[0] == 0.0
 
     def test_matches_character_table(self):
         for k in (7, 11, 101, 131, 137, 1009, 1019, 1021):
-            assert np.abs(prepare_legendre_state(k).amps - legendre_amplitudes(k)).max() < 1e-10
+            assert np.abs(prepare_legendre_state(k) - legendre_amplitudes(k)).max() < 1e-10
 
     @pytest.mark.parametrize("k", [4, 9, 15, 2])
     def test_rejects_non_prime(self, k):
@@ -126,7 +137,7 @@ class TestPrepareLegendreState:
 class TestStreamedKickback:
     @pytest.mark.parametrize("k", [3, 5, 7, 11, 101, 131, 1009, 1019, 1021])
     def test_matches_dense_kickback(self, k):
-        assert np.array_equal(prepare_legendre_state(k).amps, dense_legendre_state(k))
+        assert np.array_equal(prepare_legendre_state(k), dense_legendre_state(k))
 
     @pytest.mark.parametrize("branch", [0, 1])
     def test_entanglement_is_checked_on_every_branch(self, monkeypatch, branch):
@@ -167,7 +178,7 @@ class TestGaussPhaseEncode:
     def test_global_phase(self, k, a, expected):
         chi = prepare_legendre_state(k)
         out = gauss_phase_encode(chi, a)
-        overlap = np.vdot(chi.amps, out.amps)
+        overlap = np.vdot(chi, out)
         assert abs(overlap - expected) < 1e-9
 
     def test_fidelity_and_phase_all_small_primes(self):
@@ -175,7 +186,7 @@ class TestGaussPhaseEncode:
             chi = prepare_legendre_state(k)
             for a in range(1, k):
                 out = gauss_phase_encode(chi, a)
-                overlap = np.vdot(chi.amps, out.amps)
+                overlap = np.vdot(chi, out)
                 assert abs(abs(overlap) - 1.0) < 1e-9
                 expected = gauss_sum_brute(k, a) / math.sqrt(k)
                 assert circular_distance(float(np.angle(overlap)), float(np.angle(expected))) < 1e-9
@@ -185,17 +196,22 @@ class TestGaussPhaseEncode:
     def test_matches_dense_fourier_matrix(self, k):
         chi = prepare_legendre_state(k)
         for a in (1, 2, k - 1, 4 * k - 3, -3):
-            dense = apply_unitary(chi, qft_matrix(k, a), 0)
-            assert np.abs(gauss_phase_encode(chi, a).amps - dense.amps).max() < 1e-12
+            dense = apply_unitary(StateVector(dims=(k,), amps=chi), qft_matrix(k, a), 0)
+            assert np.abs(gauss_phase_encode(chi, a) - dense.amps).max() < 1e-12
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             gauss_phase_encode(prepare_legendre_state(5), 10)
 
     def test_rejects_non_character_state(self):
-        state = basis(5, 1)
+        state = basis(5, 1).amps
         with pytest.raises(ValueError):
             gauss_phase_encode(state, 2)
+
+    def test_rejects_a_joint_state(self):
+        chi = prepare_legendre_state(5)
+        with pytest.raises(ValueError, match="single-register"):
+            gauss_phase_encode(np.outer([1.0, 0.0], chi), 2)
 
 
 class TestPhaseEstimate:
@@ -234,6 +250,34 @@ class TestPhaseEstimate:
         a = phase_estimate(7, 3, 0.3, seed=1)
         b = phase_estimate(7, 3, 0.3, seed=2)
         assert a.phi != b.phi  # overwhelmingly likely at this shot count
+
+    @pytest.mark.parametrize("k,a_values", [(k, range(1, k)) for k in range(3, 102) if is_prime(k)]
+                             + [(1009, (1, 2, 3, 1008, -3, 4033)), (1021, (1, 2, 5, 1020, -7, 3061))])
+    def test_overlap_probabilities_match_the_dense_interferometer(self, monkeypatch, k, a_values):
+        drawn = []
+        real_rng = np.random.default_rng
+
+        class Recorder:
+            """Records each probability phase_estimate hands to the sampler."""
+
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def binomial(self, n, p):
+                drawn.append(p)
+                return self.rng.binomial(n, p)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        chi = prepare_legendre_state(k)
+        for a in a_values:
+            encoded = gauss_phase_encode(chi, a)
+            z = complex(np.vdot(chi, encoded))
+            p_cos, p_sin = dense_control_zero_probabilities(chi, encoded)
+            assert abs(p_cos - (1.0 + z.real) / 2.0) <= 1e-12 and abs(p_sin - (1.0 + z.imag) / 2.0) <= 1e-12
+            drawn.clear()
+            phase_estimate(k, a, 0.3)
+            assert len(drawn) == 2
+            assert abs(drawn[0] - p_cos) <= 1e-12 and abs(drawn[1] - p_sin) <= 1e-12, (k, a)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
