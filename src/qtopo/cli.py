@@ -15,7 +15,8 @@ takes no --k. Only dw takes check --range paper; the other invariants sum
 the whole group. check counts a random move script's terms against the
 guard before it builds the script.
 Identical configuration and seed produce byte-identical output. The
-environment variable QTOPO_GUARD overrides the enumeration guard (expert use).
+environment variable QTOPO_GUARD overrides the enumeration guard (expert use);
+tau-su2k3 sums no terms, so the guard does not bound it.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def tau_abelian_cmd(k: int, method: str, input_path: Path, output_path: Path | N
 @_output_opt
 def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
     """Level-3 SU(2) invariant of the link's 3-manifold."""
-    guard = _guard_from_env()
-    _emit(invariants.tau_su2_k3(_load_link(input_path), guard=guard).to_json_dict(), output_path)
+    _emit(invariants.tau_su2_k3(_load_link(input_path)).to_json_dict(), output_path)
 
 
 @main.command("tau-dw")

@@ -21,7 +21,7 @@ def decode_json(source: str | Path) -> object:
 
 
 class GuardExceeded(RuntimeError):
-    """A brute-force enumeration would exceed the configured term budget."""
+    """A brute-force enumeration would exceed the configured term budget, or a value is beyond the float range."""
 
 
 class GeometryError(ValueError):

@@ -1,10 +1,13 @@
 """Three-manifold invariants computed from framed-link matrices.
 
 All three invariants reduce to multivariate quadratic exponential sums over
-residues. Each gets a brute-force enumeration path; the Abelian invariant
-additionally gets a fast factorized path (congruence-diagonalize the matrix
-mod k, multiply scalar Gauss sums) whose agreement with brute force is the
-load-bearing correctness check of the whole reduction.
+residues. The Abelian and finite-group invariants get a brute-force
+enumeration path; the Abelian invariant additionally gets a fast factorized
+path (congruence-diagonalize the matrix mod k, multiply scalar Gauss sums)
+whose agreement with brute force is the load-bearing correctness check of
+the whole reduction. The level-3 SU(2) invariant is a Z/4-valued quadratic
+form summed over (Z/2)^m, which variable elimination evaluates exactly in
+O(m**3) integer operations; the brute sum stays its test oracle.
 
 Exponents are always an exact integer residue times an exact rational
 multiple of 2*pi; no float enters before the final angle conversion. The
@@ -14,7 +17,7 @@ count array falls back to summing phases chunk by chunk, in a fixed order.
 Either way results are bit-stable across runs.
 
 numpy is imported on first array use, inside the functions that build
-arrays (the brute sum and tau_su2_k3), so the factorized path never loads it.
+arrays (the brute sum), so the factorized path and tau_su2_k3 never load it.
 """
 
 from __future__ import annotations
@@ -220,20 +223,94 @@ def tau_abelian(
     return InvariantResult(value=value, method=method, k=k, m=link.m, normalized=normalized)
 
 
-def tau_su2_k3(link: FramedLinkMatrix, guard: int = DEFAULT_GUARD) -> InvariantResult:
+def _z2_gauss_sum(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """S(J) = sum over x in {0,1}^m of i**(x^T J x), exactly, as the Gaussian integer (re, im).
+
+    With x_i**2 = x_i, x^T J x = sum J_ii x_i + 2 sum_{i<j} J_ij x_i x_j, which
+    reads only J_ii mod 4 and J_ij mod 2. Summing out one pivot x_p, with a
+    its diagonal residue and L the parity of its odd partners, gives
+    1 + i**a (-1)**L. For odd a that is (1 + i**a) i**(-a L); for even a it is
+    2 where L = a/2 (mod 2) and 0 elsewhere, so one partner x_q becomes the
+    parity of a/2 and the others. Either parity re-enters the Z/4 form
+    through the exact lift c + (1 - 2c) sum y - 2 sum_{s<t} y_s y_t of
+    parity(c + sum y). Each step costs O(m) row updates on bitmask rows:
+    O(m**3) bit operations in all.
+    """
+    m = len(rows)
+    diag = [rows[i][i] % 4 for i in range(m)]
+    odd = [sum(1 << j for j, entry in enumerate(row) if entry % 2 and j != i) for i, row in enumerate(rows)]
+    live = (1 << m) - 1
+    twos = tilts = turn = 0  # S = 2**twos * (1 + i)**tilts * i**turn
+
+    def members(mask: int) -> list[int]:
+        return [j for j in range(m) if mask >> j & 1]
+
+    for p in range(m):
+        if not live >> p & 1:
+            continue
+        live ^= 1 << p
+        a, partners = diag[p], odd[p] & live
+        if a % 2:
+            tilts += 1
+            turn += 3 * (a == 3)  # 1 - i = -i (1 + i)
+            for j in members(partners):  # add -a L = -a sum y + 2a sum_{s<t} y_s y_t, a odd
+                diag[j] = (diag[j] - a) % 4
+                odd[j] ^= partners & ~(1 << j)
+        elif not partners:
+            if a == 2:  # 1 + i**2 = 0
+                return 0, 0
+            twos += 1
+        else:
+            twos += 1
+            q = (partners & -partners).bit_length() - 1
+            live ^= 1 << q
+            rest, c, dq = partners ^ (1 << q), a // 2, diag[q]
+            # x_q = parity(c + sum_rest y): d_q x_q takes the whole lift, and
+            # each 2 x_q x_j with an odd partner j of q only the parity, 2 x_j (c + sum_rest y)
+            turn += dq * c
+            q_partners = odd[q] & live
+            for j in members(rest | q_partners):
+                if rest >> j & 1:  # y_j's share of the lift, y_j**2 = y_j and the pairs y_j y_t
+                    diag[j] += dq * (1 - 2 * c) + 2 * (q_partners >> j & 1)
+                    odd[j] ^= (q_partners ^ (rest if dq % 2 else 0)) & ~(1 << j)
+                if q_partners >> j & 1:  # 2 c x_j and the pairs x_j y_t
+                    diag[j] += 2 * c
+                    odd[j] ^= rest & ~(1 << j)
+                diag[j] %= 4
+    # (1 + i)**2 = 2i
+    twos, turn = twos + tilts // 2, (turn + tilts // 2) % 4
+    re, im = (1, tilts % 2)
+    for _ in range(turn):
+        re, im = -im, re
+    return re << twos, im << twos
+
+
+def tau_su2_k3(link: FramedLinkMatrix) -> InvariantResult:
     """SU(2) invariant at level 3, as a signed two-valued Gaussian sum.
 
     2**(-m/2) * exp(-i*pi*sigma/4) * sum over n in {1,2}^m of
     exp(i*pi * n^T J n / 2), with sigma the exact signature of J.
-    i**(n^T J n) depends only on n mod 2, so the sum is the group sum over
-    (Z/2)^m: the same residues mod 4, counted the same number of times.
+    i**(n^T J n) depends only on n mod 2, so the sum is the group sum S(J)
+    over (Z/2)^m, which _z2_gauss_sum evaluates exactly in O(m**3); no term
+    is summed, so no guard applies. With s = sigma mod 8,
+    exp(-i*pi*sigma/4) = ((1 - i) / sqrt(2))**s, so the value is the
+    Gaussian integer S * (1 - i)**s over 2**((m + s)/2), converted to floats
+    once. |value| is 0 or 2**(z/2) for an integer z; a z of 2048 or more is
+    beyond the float range and raises GuardExceeded.
     """
-    import numpy as np
-
-    sig = signature(link)
-    core = multivariate_gauss_sum(link, 2, Fraction(1, 4), SumRange.ZERO_TO_KM1, guard)
-    value = complex(2 ** (-link.m / 2) * np.exp(-0.25j * math.pi * sig) * core)
-    return InvariantResult(value=value, method="brute", k=3, m=link.m, normalized=value)
+    re, im = _z2_gauss_sum(link.J)
+    m, s = link.m, signature(link) % 8
+    z = (re * re + im * im).bit_length() - 1 - m  # |S|**2 = 2**(m + z) or 0
+    if z >= 2 * sys.float_info.max_exp:
+        raise GuardExceeded(f"|value| = 2**({z}/2) ~ 1e{z * math.log10(2) / 2:.0f} is beyond the float range")
+    for _ in range(s):
+        re, im = re + im, im - re  # times 1 - i
+    # each exact division leaves a component of at most 2**((z - 1)/2) for odd m + s, so nothing overflows
+    half = (m + s + 1) // 2
+    value = complex(re / 2**half, im / 2**half)
+    if (m + s) % 2:
+        value *= math.sqrt(2)
+    return InvariantResult(value=value, method="exact", k=3, m=link.m, normalized=value)
 
 
 def tau_dw(
@@ -379,7 +456,7 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
 #               guard); su2k3's (3, 2) is its level, printed as k, and its (Z/2)^m box of width 2;
 #               evaluate looks the tau_* function up when called, so a patched one is the one timed
 _KIRBY_LAWS = {
-    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link, guard=guard).value, _su2k3_law, (3, 2), 16),
+    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, (3, 2), 16),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
                 _abelian_law, None, None),
     "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law,

@@ -198,17 +198,19 @@ path = sys.argv[1]
 run("gauss-sum", "--k", "13", "--a", "2", "--method", "brute")
 run("gauss-sum", "--k", "13", "--a", "2", "--method", "closed")
 run("tau-abelian", "--k", "13", "-i", path)
+run("tau-su2k3", "-i", path)
+run("check", "--invariant", "su2k3", "--moves", "3", "-i", path)
 link = linkalg.FramedLinkMatrix.from_json(open(path).read())
 linkalg.signature(link)
 linkalg.diagonalize_mod_k(link, numtheory.ModK.from_modulus(13))
 print("numpy" in sys.modules)
-sys.stdout.write(run("tau-su2k3", "-i", path))
+sys.stdout.write(run("tau-dw", "--k", "5", "-i", path))
 print("numpy" in sys.modules)
 """
 
 
 def test_numpy_loads_only_where_arrays_are_built(tmp_path):
-    """Imports, both gauss-sum methods and the factorized Abelian path never load numpy; tau-su2k3 loads it."""
+    """Imports, gauss-sum, the factorized Abelian path and su2k3 never load numpy; tau-dw's brute sum loads it."""
     env = dict(os.environ)
     src = str(Path(qtopo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -220,9 +222,9 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    before, *su2k3, after = child("-c", _NUMPY_FREE_CHILD, str(path)).splitlines(keepends=True)
+    before, *dw, after = child("-c", _NUMPY_FREE_CHILD, str(path)).splitlines(keepends=True)
     assert (before, after) == ("False\n", "True\n")
-    assert "".join(su2k3) == child("-m", "qtopo.cli", "tau-su2k3", "-i", str(path))
+    assert "".join(dw) == child("-m", "qtopo.cli", "tau-dw", "--k", "5", "-i", str(path))
 
 
 class TestSimulateCommand:
@@ -380,6 +382,17 @@ class TestExitCodes:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "guard exceeded: |value| = 1009**(206/2)" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("m", [2048, 2050])
+    def test_su2k3_beyond_float_range_is_4(self, runner, tmp_path, m):
+        # the zero matrix has |value| = 2**(m/2); 2**1024 is the first power of two past the largest float
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"J": [[0] * m for _ in range(m)]}))
+        result = runner.invoke(main, ["tau-su2k3", "-i", str(path)])
+        assert result.exit_code == 4
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output == f"guard exceeded: |value| = 2**({m}/2) ~ 1e{round(m / 2 * math.log10(2))}" \
+                                " is beyond the float range\n"
 
     @pytest.mark.parametrize("target", ["missing-dir", "under-a-file"])
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from qtopo.invariants import (
     tau_dw,
     tau_su2_k3,
 )
-from qtopo.linkalg import FramedLinkMatrix, signature
+from qtopo.linkalg import FramedLinkMatrix, blow_up, handle_slide, signature
 from qtopo.numtheory import ModK, gauss_sum_brute
 from test_linkalg import random_symmetric
 
@@ -242,6 +243,116 @@ class TestTauSu2K3:
             link = random_symmetric(rng, m)
             slid = apply_move(link, ("slide", *rng.sample(range(m), 2), rng.choice((1, -1))))
             assert abs(tau_su2_k3(link).value - tau_su2_k3(slid).value) < 1e-9
+
+
+def z2_counts_sum(rows) -> tuple[int, int]:
+    """(c0 - c2, c1 - c3), with c_r the x in {0,1}^m where x^T J x = r (mod 4), counted term by term."""
+    m = len(rows)
+    x = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    q = ((x @ np.array([[entry % 4 for entry in row] for row in rows], dtype=np.int64).reshape(m, m)) * x).sum(axis=1)
+    c = np.bincount(q % 4, minlength=4)
+    return int(c[0] - c[2]), int(c[1] - c[3])
+
+
+def gaussian_product(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def direct_sum(*links: FramedLinkMatrix) -> FramedLinkMatrix:
+    sizes = [link.m for link in links]
+    rows = []
+    for index, link in enumerate(links):
+        before, after = sum(sizes[:index]), sum(sizes[index + 1:])
+        rows += [[0] * before + list(row) + [0] * after for row in link.J]
+    return FramedLinkMatrix.from_rows(rows)
+
+
+class TestZ2GaussSum:
+    """The exact (Z/2)^m sum against counted residues up to m = 12, and against its laws at m = 60."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(24)
+        for m in range(13):
+            yield [[0] * m for _ in range(m)]
+            for _ in range(8):
+                yield [list(row) for row in random_symmetric(rng, m, -3, 3).J]
+                yield [list(row) for row in random_symmetric(rng, m, -(2**70), 2**70).J]
+                rows = [list(row) for row in random_symmetric(rng, m, -3, 3).J]
+                for i in range(m):
+                    rows[i][i] = 2 * rng.randint(-2, 2)
+                yield rows
+
+    def test_matches_counted_residues(self):
+        cases = list(self._cases())
+        assert sum(any(abs(x) >= 2**63 for row in rows for x in row) for rows in cases) >= 90
+        assert sum(invariants._z2_gauss_sum(rows) != (0, 0) for rows in cases) >= 150
+        for rows in cases:
+            assert invariants._z2_gauss_sum(rows) == z2_counts_sum(rows), rows
+
+    def test_tau_su2_k3_matches_the_brute_sum(self):
+        for rows in self._cases():
+            link = FramedLinkMatrix.from_rows(rows)
+            brute = multivariate_gauss_sum(link, 2, Fraction(1, 4))
+            want = 2 ** (-link.m / 2) * cmath.exp(-0.25j * math.pi * signature(link)) * brute
+            result = tau_su2_k3(link)
+            assert rel_gap(result.value, want) <= 1e-12, rows  # |value| is 0 or at least 1
+            assert result.method == "exact"
+
+    @staticmethod
+    def _wide(rng: random.Random, m: int = 60) -> FramedLinkMatrix:
+        rows = [list(row) for row in random_symmetric(rng, m, -3, 3).J]
+        if rng.random() < 0.5:  # all-even diagonals take the paired eliminations
+            for i in range(m):
+                rows[i][i] = 2 * rng.randint(-2, 2)
+        return FramedLinkMatrix.from_rows(rows)
+
+    def test_handle_slides_keep_the_sum(self):
+        rng = random.Random(60)
+        nonzero = 0
+        for _ in range(4):
+            link = self._wide(rng)
+            start = invariants._z2_gauss_sum(link.J)
+            nonzero += start != (0, 0)
+            for _ in range(50):
+                link = handle_slide(link, *rng.sample(range(link.m), 2), rng.choice((1, -1)))
+                assert invariants._z2_gauss_sum(link.J) == start
+        assert nonzero >= 2
+
+    def test_direct_sums_multiply(self):
+        rng = random.Random(61)
+        nonzero = 0
+        for _ in range(10):
+            first, second = self._wide(rng, 30), self._wide(rng, 30)
+            product = gaussian_product(invariants._z2_gauss_sum(first.J), invariants._z2_gauss_sum(second.J))
+            nonzero += product != (0, 0)
+            assert invariants._z2_gauss_sum(direct_sum(first, second).J) == product
+        assert nonzero >= 3
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_blow_up_multiplies_by_one_plus_sign_i(self, sign):
+        rng = random.Random(62)
+        nonzero = 0
+        for _ in range(10):
+            link = self._wide(rng)
+            want = gaussian_product(invariants._z2_gauss_sum(link.J), (1, sign))
+            nonzero += want != (0, 0)
+            unknot = FramedLinkMatrix.from_rows([[sign]])
+            assert invariants._z2_gauss_sum(blow_up(link, sign).J) == want
+            assert invariants._z2_gauss_sum(direct_sum(unknot, link).J) == want
+        assert nonzero >= 3
+
+    def test_value_in_the_float_range_survives_an_integer_beyond_it(self):
+        # S = 2**1024 has no float, but the value 2**512 has
+        link = FramedLinkMatrix.from_rows([[0] * 1024 for _ in range(1024)])
+        assert invariants._z2_gauss_sum(link.J) == (2**1024, 0)
+        assert abs(tau_su2_k3(link).value) == 2.0**512
+
+    def test_the_largest_value_in_the_float_range(self):
+        # |value| = 2**(2047/2), with S = 2**2047 and an odd m
+        value = tau_su2_k3(FramedLinkMatrix.from_rows([[0] * 2047 for _ in range(2047)])).value
+        assert math.isclose(value.real, 2**1023.5, rel_tol=1e-15)
+        assert value.imag == 0.0
 
 
 class TestTauDw:
