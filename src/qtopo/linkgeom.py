@@ -16,24 +16,25 @@ box at the origin and scale its longest side to 1 (delta alike). The
 tolerances below are therefore relative to the curves' extent, and no
 coordinate can overflow in the checks at any scale.
 
-numpy is imported on first array use, inside each function that uses it, so
-importing this module does not load it.
+Points are plain (x, y, z) float tuples and every loop runs on Python
+floats: per segment pair the work is a few dozen flops, which per-call
+array overhead would dominate. The functions accept any sequence of
+[x, y, z] rows, numpy arrays included, and this module never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import chain
 
 from .errors import GeometryError, SchemaError, decode_json
 from .linkalg import FramedLinkMatrix
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    Curve = np.ndarray  # (n, 3) float array, vertices of a closed polygon
+Point = tuple[float, float, float]
+Curve = tuple[Point, ...]  # vertices of a closed polygon
 
 # Floor on segment separation, relative to the extent of the curves checked;
 # below it the direction map is numerically meaningless and the curves may as
@@ -45,15 +46,26 @@ RESIDUAL_TOL = 1e-6
 
 
 def _is_number(x: object) -> bool:
-    """Whether x is a JSON number that converts to a float without overflow."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    """Whether x is a real number, not a bool, that converts to a float without overflow."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
+def _triples(rows: object, pointer: str) -> Curve:
+    """The rows as float triples; a SchemaError naming the field unless each row is three real numbers."""
+    try:
+        pts = [tuple(row) for row in rows]
+    except TypeError:
+        pts = None
+    if pts is None or any(len(pt) != 3 or not all(map(_is_number, pt)) for pt in pts):
+        raise SchemaError(f"{pointer}: expected [x,y,z] triples")
+    return tuple((float(x), float(y), float(z)) for x, y, z in pts)
+
+
 @dataclass(frozen=True)
 class PolyLink:
-    """Closed polygonal curves with per-vertex framing offset directions."""
+    """Closed polygonal curves with per-vertex framing offset directions, stored as float triples."""
 
     components: tuple[Curve, ...]
     framings: tuple[Curve, ...]
@@ -61,26 +73,30 @@ class PolyLink:
 
     def __post_init__(self) -> None:
         """The one link validator; errors name the field as a JSON pointer."""
-        import numpy as np
-
         if len(self.components) != len(self.framings):
             raise ValueError("one framing offset field required per component")
-        for idx, (curve, offs) in enumerate(zip(self.components, self.framings)):
-            if curve.shape[0] < 3:
+        fields = [
+            (_triples(curve, f"/components/{idx}/points"), _triples(offs, f"/components/{idx}/offsets"))
+            for idx, (curve, offs) in enumerate(zip(self.components, self.framings))
+        ]
+        for idx, (curve, offs) in enumerate(fields):
+            if len(curve) < 3:
                 raise SchemaError(f"/components/{idx}/points: expected >=3 [x,y,z] triples")
-            if curve.shape != offs.shape:
-                raise SchemaError(f"/components/{idx}/offsets: shape {offs.shape} != points shape {curve.shape}")
-            for key, arr in (("points", curve), ("offsets", offs)):
-                if not np.isfinite(arr).all():
+            if len(curve) != len(offs):
+                raise SchemaError(
+                    f"/components/{idx}/offsets: shape {(len(offs), 3)} != points shape {(len(curve), 3)}"
+                )
+            for key, pts in (("points", curve), ("offsets", offs)):
+                if not all(map(math.isfinite, chain.from_iterable(pts))):
                     raise SchemaError(f"/components/{idx}/{key}: coordinates must be finite")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise SchemaError(f"/delta: expected a positive finite number, got {self.delta}")
+        object.__setattr__(self, "components", tuple(curve for curve, _ in fields))
+        object.__setattr__(self, "framings", tuple(offs for _, offs in fields))
 
     @classmethod
     def from_json_dict(cls, data: object) -> "PolyLink":
-        """Check the JSON types of the polygonal-link schema; the values are checked on construction."""
-        import numpy as np
-
+        """Check the JSON structure of the polygonal-link schema; the rows and values are checked on construction."""
         if not isinstance(data, dict):
             raise SchemaError("/: expected a JSON object")
         if "components" not in data:
@@ -92,15 +108,10 @@ class PolyLink:
         for i, comp in enumerate(data["components"]):
             if not isinstance(comp, dict):
                 raise SchemaError(f"/components/{i}: expected an object")
-            for key, arrays in (("points", comps), ("offsets", offs)):
+            for key, rows in (("points", comps), ("offsets", offs)):
                 if key not in comp:
                     raise SchemaError(f"/components/{i}/{key}: missing")
-                rows = comp[key]
-                if not isinstance(rows, list) or any(
-                    not isinstance(pt, list) or len(pt) != 3 or not all(map(_is_number, pt)) for pt in rows
-                ):
-                    raise SchemaError(f"/components/{i}/{key}: expected [x,y,z] triples")
-                arrays.append(np.array(rows, dtype=float))
+                rows.append(comp[key])
         delta = data.get("delta")
         if not _is_number(delta):
             raise SchemaError("/delta: expected a positive number")
@@ -113,33 +124,32 @@ class PolyLink:
 
 def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], float]:
     """The curves with their bounding box centred at the origin and its longest side 1, and delta scaled alike."""
-    import numpy as np
-
-    pts = np.concatenate(curves)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    half = float((hi / 2 - lo / 2).max())  # halves first, as hi - lo can overflow
+    axes = list(zip(*chain.from_iterable(curves)))
+    lo = [float(min(coords)) for coords in axes]
+    hi = [float(max(coords)) for coords in axes]
+    half = max(h / 2 - l / 2 for l, h in zip(lo, hi))  # halves first, as hi - lo can overflow
+    if any(map(math.isnan, chain.from_iterable(axes))):
+        half = math.nan  # min and max may pass over a NaN
     if not 0.0 < half < math.inf:
         raise GeometryError(f"the curves' extent {2 * half} is not a positive finite length")
-    centre = lo / 2 + hi / 2
-    return [(np.asarray(c, dtype=float) - centre) / half / 2 for c in curves], delta / half / 2
+    cx, cy, cz = (l / 2 + h / 2 for l, h in zip(lo, hi))
+    return [
+        tuple(((float(x) - cx) / half / 2, (float(y) - cy) / half / 2, (float(z) - cz) / half / 2) for x, y, z in c)
+        for c in curves
+    ], delta / half / 2
 
 
-def _segments(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    pts = np.asarray(curve, dtype=float)
-    return pts, np.roll(pts, -1, axis=0)
-
-
-def _segment_distance(p0, p1, q0, q1) -> float:
+def _segment_distance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     """Minimum distance between two segments (clamped closest points)."""
-    import numpy as np
-
-    u = p1 - p0
-    v = q1 - q0
-    w = p0 - q0
-    a, b, c = u @ u, u @ v, v @ v
-    d, e = u @ w, v @ w
+    (px, py, pz), (qx, qy, qz) = p0, q0
+    ux, uy, uz = p1[0] - px, p1[1] - py, p1[2] - pz
+    vx, vy, vz = q1[0] - qx, q1[1] - qy, q1[2] - qz
+    wx, wy, wz = px - qx, py - qy, pz - qz
+    a = ux * ux + uy * uy + uz * uz
+    b = ux * vx + uy * vy + uz * vz
+    c = vx * vx + vy * vy + vz * vz
+    d = ux * wx + uy * wy + uz * wz
+    e = vx * wx + vy * wy + vz * wz
     denom = a * c - b * b
     if denom > 1e-14 * max(a * c, 1e-30):
         s = min(1.0, max(0.0, (b * e - c * d) / denom))
@@ -150,47 +160,27 @@ def _segment_distance(p0, p1, q0, q1) -> float:
     # re-clamp s against the chosen t
     if a > 0:
         s = min(1.0, max(0.0, (b * t - d) / a))
-    best = np.linalg.norm((p0 + s * u) - (q0 + t * v))
-    for pp in (p0, p1):
-        for qq in (q0, q1):
-            best = min(best, np.linalg.norm(pp - qq))
-    return float(best)
+    best = math.hypot(px + s * ux - (qx + t * vx), py + s * uy - (qy + t * vy), pz + s * uz - (qz + t * vz))
+    return min(best, math.dist(p0, q0), math.dist(p0, q1), math.dist(p1, q0), math.dist(p1, q1))
 
 
 def _check_embedded(curve: Curve, label: str) -> None:
-    a0, a1 = _segments(curve)
-    n = len(a0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent segments share a vertex
-            if _segment_distance(a0[i], a1[i], a0[j], a1[j]) <= MIN_SEPARATION:
+    segs = list(zip(curve, curve[1:] + curve[:1]))
+    n = len(segs)
+    for i, (p0, p1) in enumerate(segs):
+        for j in range(i + 2, n - (i == 0)):  # adjacent segments share a vertex
+            if _segment_distance(p0, p1, *segs[j]) <= MIN_SEPARATION:
                 raise GeometryError(f"{label}: segments {i} and {j} nearly intersect")
 
 
 def _check_disjoint(a: Curve, b: Curve, label: str) -> None:
-    a0, a1 = _segments(a)
-    b0, b1 = _segments(b)
-    for i in range(len(a0)):
-        for j in range(len(b0)):
-            if _segment_distance(a0[i], a1[i], b0[j], b1[j]) <= MIN_SEPARATION:
+    segs_b = list(zip(b, b[1:] + b[:1]))
+    for p0, p1 in zip(a, a[1:] + a[:1]):
+        for q0, q1 in segs_b:
+            if _segment_distance(p0, p1, q0, q1) <= MIN_SEPARATION:
                 raise GeometryError(
                     f"{label}: curves pass within {MIN_SEPARATION} of each other, relative to their extent"
                 )
-
-
-def _triangle_solid_angle(a, b, c) -> np.ndarray:
-    """Signed solid angle of spherical triangles with unit-vector corners."""
-    import numpy as np
-
-    num = np.einsum("...i,...i->...", a, np.cross(b, c))
-    den = (
-        1.0
-        + np.einsum("...i,...i->...", a, b)
-        + np.einsum("...i,...i->...", b, c)
-        + np.einsum("...i,...i->...", c, a)
-    )
-    return 2.0 * np.arctan2(num, den)
 
 
 def gauss_integral(a: Curve, b: Curve) -> float:
@@ -201,25 +191,36 @@ def gauss_integral(a: Curve, b: Curve) -> float:
     triangulated with the solid-angle formula. Returns the integral value
     (an integer for genuinely disjoint closed curves) before rounding.
     """
-    import numpy as np
-
-    a0, a1 = _segments(np.asarray(a, dtype=float))
-    b0, b1 = _segments(np.asarray(b, dtype=float))
-
-    def unit(v):
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(norms < MIN_SEPARATION):
-            raise GeometryError("curves pass too close for a stable direction map")
-        return v / norms
-
-    # all chord directions between segment endpoints, shape (na, nb, 3)
-    v00 = unit(a0[:, None, :] - b0[None, :, :])
-    v10 = unit(a1[:, None, :] - b0[None, :, :])
-    v11 = unit(a1[:, None, :] - b1[None, :, :])
-    v01 = unit(a0[:, None, :] - b1[None, :, :])
-
-    area = _triangle_solid_angle(v00, v10, v11) + _triangle_solid_angle(v00, v11, v01)
-    return -float(area.sum()) / (4.0 * math.pi)
+    # unit chord a[i] - b[j] for each vertex pair, shared by the four segment pairs around it;
+    # a repeated first column and row close both polygons
+    units = []
+    for px, py, pz in a:
+        row = []
+        for qx, qy, qz in b:
+            dx, dy, dz = px - qx, py - qy, pz - qz
+            norm = math.hypot(dx, dy, dz)
+            if norm < MIN_SEPARATION:
+                raise GeometryError("curves pass too close for a stable direction map")
+            row.append((dx / norm, dy / norm, dz / norm))
+        row.append(row[0])
+        units.append(row)
+    units.append(units[0])
+    # each segment pair (i, j) is the triangles (v00, v10, v11) and (v00, v11, v01), v10 = unit(a[i+1] - b[j]);
+    # a triangle of unit vectors (a, b, c) has signed solid angle 2 atan2(a.(b x c), 1 + a.b + b.c + c.a)
+    half_area = 0.0
+    for row0, row1 in zip(units, units[1:]):
+        for j in range(len(row0) - 1):
+            (ax, ay, az), (bx, by, bz) = row0[j], row1[j]
+            (cx, cy, cz), (dx, dy, dz) = row1[j + 1], row0[j + 1]
+            ac = ax * cx + ay * cy + az * cz
+            half_area += math.atan2(
+                ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx),
+                1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz) + ac,
+            ) + math.atan2(
+                ax * (cy * dz - cz * dy) + ay * (cz * dx - cx * dz) + az * (cx * dy - cy * dx),
+                1.0 + ac + (cx * dx + cy * dy + cz * dz) + (dx * ax + dy * ay + dz * az),
+            )
+    return -half_area / (2.0 * math.pi)
 
 
 def linking_number(a: Curve, b: Curve) -> int:
@@ -241,9 +242,9 @@ def linking_number(a: Curve, b: Curve) -> int:
 
 
 def push_off(curve: Curve, offsets: Curve, delta: float) -> Curve:
-    import numpy as np
-
-    return np.asarray(curve, dtype=float) + delta * np.asarray(offsets, dtype=float)
+    return tuple(
+        (x + delta * u, y + delta * v, z + delta * w) for (x, y, z), (u, v, w) in zip(curve, offsets, strict=True)
+    )
 
 
 def self_linking(curve: Curve, offsets: Curve, delta: float) -> int:

@@ -1,14 +1,20 @@
-"""Test-side geometry: curve constructors and a signed-crossing-count oracle.
+"""Test-side geometry: curve constructors and two oracles.
 
-The oracle computes linking numbers the diagrammatic way, entirely
-independent of the solid-angle path: project to the xy-plane, find the
-transversal crossings between the two curves, read each sign off the frame
-(over-strand direction, under-strand direction), and halve the signed total.
+crossing_count_linking computes linking numbers the diagrammatic way,
+entirely independent of the solid-angle path: project to the xy-plane, find
+the transversal crossings between the two curves, read each sign off the
+frame (over-strand direction, under-strand direction), and halve the signed
+total.
+
+segment_distance_np and gauss_integral_np are the same algorithms as
+qtopo.linkgeom's, written on numpy arrays: the distance one segment pair at
+a time, the integral broadcast over every segment pair at once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -42,7 +48,7 @@ def hopf_pair():
 
 def polylink_json(link) -> str:
     """The polygonal-link JSON document of a PolyLink."""
-    components = [{"points": c.tolist(), "offsets": o.tolist()} for c, o in zip(link.components, link.framings)]
+    components = [{"points": c, "offsets": o} for c, o in zip(link.components, link.framings)]
     return json.dumps({"components": components, "delta": link.delta})
 
 
@@ -103,3 +109,58 @@ def crossing_count_linking(a, b, tilt=0.0):
     if total % 2 != 0:
         raise ValueError("odd signed-crossing total; projection not generic")
     return total // 2
+
+
+def segment_distance_np(p0, p1, q0, q1):
+    """Minimum distance between two segments (clamped closest points), on numpy 3-vectors."""
+    p0, p1, q0, q1 = (np.asarray(x, dtype=float) for x in (p0, p1, q0, q1))
+    u = p1 - p0
+    v = q1 - q0
+    w = p0 - q0
+    a, b, c = u @ u, u @ v, v @ v
+    d, e = u @ w, v @ w
+    denom = a * c - b * b
+    if denom > 1e-14 * max(a * c, 1e-30):
+        s = min(1.0, max(0.0, (b * e - c * d) / denom))
+    else:
+        s = 0.0
+    t = (b * s + e) / c if c > 0 else 0.0
+    t = min(1.0, max(0.0, t))
+    if a > 0:
+        s = min(1.0, max(0.0, (b * t - d) / a))
+    best = np.linalg.norm((p0 + s * u) - (q0 + t * v))
+    for pp in (p0, p1):
+        for qq in (q0, q1):
+            best = min(best, np.linalg.norm(pp - qq))
+    return float(best)
+
+
+def _triangle_solid_angle(a, b, c):
+    """Signed solid angle of spherical triangles with unit-vector corners."""
+    num = np.einsum("...i,...i->...", a, np.cross(b, c))
+    den = (
+        1.0
+        + np.einsum("...i,...i->...", a, b)
+        + np.einsum("...i,...i->...", b, c)
+        + np.einsum("...i,...i->...", c, a)
+    )
+    return 2.0 * np.arctan2(num, den)
+
+
+def gauss_integral_np(a, b):
+    """Raw Gauss linking integral of two closed polygons, broadcast over all segment pairs."""
+    a0 = np.asarray(a, dtype=float)
+    b0 = np.asarray(b, dtype=float)
+    a1, b1 = np.roll(a0, -1, axis=0), np.roll(b0, -1, axis=0)
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    # all chord directions between segment endpoints, shape (na, nb, 3)
+    v00 = unit(a0[:, None, :] - b0[None, :, :])
+    v10 = unit(a1[:, None, :] - b0[None, :, :])
+    v11 = unit(a1[:, None, :] - b1[None, :, :])
+    v01 = unit(a0[:, None, :] - b1[None, :, :])
+
+    area = _triangle_solid_angle(v00, v10, v11) + _triangle_solid_angle(v00, v11, v01)
+    return -float(area.sum()) / (4.0 * math.pi)

@@ -194,12 +194,14 @@ def run(*args):
         qtopo.cli.main(list(args), standalone_mode=False)
     return out.getvalue()
 
-path = sys.argv[1]
+path, poly = sys.argv[1:]
 run("gauss-sum", "--k", "13", "--a", "2", "--method", "brute")
 run("gauss-sum", "--k", "13", "--a", "2", "--method", "closed")
-run("tau-abelian", "--k", "13", "-i", path)
-run("tau-su2k3", "-i", path)
-run("check", "--invariant", "su2k3", "--moves", "3", "-i", path)
+for link in (path, poly):
+    run("tau-abelian", "--k", "13", "-i", link)
+    run("tau-su2k3", "-i", link)
+    run("check", "--invariant", "su2k3", "--moves", "3", "-i", link)
+run("linking-matrix", "-i", poly)
 link = linkalg.FramedLinkMatrix.from_json(open(path).read())
 linkalg.signature(link)
 linkalg.diagonalize_mod_k(link, numtheory.ModK.from_modulus(13))
@@ -209,8 +211,9 @@ print("numpy" in sys.modules)
 """
 
 
-def test_numpy_loads_only_where_arrays_are_built(tmp_path):
-    """Imports, gauss-sum, the factorized Abelian path and su2k3 never load numpy; tau-dw's brute sum loads it."""
+def test_numpy_loads_only_where_arrays_are_built(tmp_path, hopf_polylink):
+    """Imports, gauss-sum, the factorized Abelian path, su2k3 and the geometry never load numpy; tau-dw's brute sum
+    loads it."""
     env = dict(os.environ)
     src = str(Path(qtopo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -222,7 +225,7 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    before, *dw, after = child("-c", _NUMPY_FREE_CHILD, str(path)).splitlines(keepends=True)
+    before, *dw, after = child("-c", _NUMPY_FREE_CHILD, str(path), str(hopf_polylink)).splitlines(keepends=True)
     assert (before, after) == ("False\n", "True\n")
     assert "".join(dw) == child("-m", "qtopo.cli", "tau-dw", "--k", "5", "-i", str(path))
 

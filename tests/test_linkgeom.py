@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 
 from geom_helpers import (
     crossing_count_linking,
+    gauss_integral_np,
     hopf_pair,
     outward_offsets,
     polylink_json,
     ring,
+    segment_distance_np,
     square,
     twisted_offsets,
 )
 from qtopo.errors import GeometryError, SchemaError
 from qtopo.linkgeom import (
     PolyLink,
+    _segment_distance,
     gauss_integral,
     linking_matrix,
     linking_number,
@@ -89,6 +92,14 @@ class TestLinkingNumber:
         a = square(side=2.0)
         with pytest.raises(GeometryError):
             linking_number(a, a + np.array([0.0, 0.0, 1e-12]))
+
+    @pytest.mark.parametrize("vertex", [0, 3])
+    def test_nan_vertex_rejected(self, vertex):
+        # Python's min and max pass over a NaN or return it, depending on where it stands
+        a, b = hopf_pair()
+        a[vertex, 1] = np.nan
+        with pytest.raises(GeometryError, match="extent nan"):
+            linking_number(a, b)
 
     def test_self_intersecting_rejected(self):
         bowtie = np.array(
@@ -210,7 +221,7 @@ class TestLinkingMatrix:
 
 
 def scaled(link, scale):
-    return PolyLink(components=tuple(c * scale for c in link.components), framings=link.framings,
+    return PolyLink(components=tuple(np.asarray(c) * scale for c in link.components), framings=link.framings,
                     delta=link.delta * scale)
 
 
@@ -319,6 +330,10 @@ class TestPolyLinkJson:
             ('{"components": [], "delta": Infinity}', "/delta"),
             ('{"components": [], "delta": NaN}', "/delta"),
             pytest.param('{"components": [], "delta": 1%s}' % ("0" * 400), "/delta", id="delta-beyond-float"),
+            ('{"components": [{"points": [[0,0,0],[1,0,true],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
+             ' "delta": 0.1}', "/components/0/points"),
+            pytest.param('{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1%s],'
+                         '[0,0,1]]}], "delta": 0.1}' % ("0" * 400), "/components/0/offsets", id="offset-beyond-float"),
         ],
     )
     def test_schema_errors_name_field(self, payload, pointer):
@@ -329,3 +344,97 @@ class TestPolyLinkJson:
     def test_deep_nesting_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="^/: invalid JSON"):
             PolyLink.from_json("[" * 100000)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "points,offsets,pointer",
+        [
+            (np.zeros((4, 2)), np.zeros((4, 2)), "/components/0/points"),
+            (np.arange(4.0), np.zeros((4, 3)), "/components/0/points"),
+            (square(), np.zeros((4, 2)), "/components/0/offsets"),
+            (square(), np.arange(4.0), "/components/0/offsets"),
+        ],
+        ids=["2d-points", "1d-points", "2d-offsets", "1d-offsets"],
+    )
+    def test_rejects_non_triples(self, points, offsets, pointer):
+        with pytest.raises(SchemaError, match=f"^{pointer}: expected \\[x,y,z\\] triples$"):
+            PolyLink(components=(points,), framings=(offsets,), delta=0.2)
+
+    def test_stores_float_triples(self):
+        a, b = hopf_pair()
+        link = hopf_polylink()
+        assert link.components == tuple(tuple(map(tuple, c.tolist())) for c in (a, b))
+        assert {type(x) for curve in link.components + link.framings for pt in curve for x in pt} == {float}
+
+
+def _box_point(rng):
+    return np.array([rng.uniform(-0.5, 0.5) for _ in range(3)])
+
+
+def _perpendicular(rng, u):
+    w = np.cross(u, _box_point(rng))
+    return w / np.linalg.norm(w)
+
+
+def _near_parallel(rng, u):
+    """A direction at a random small angle to u. _segment_distance switches to its parallel branch near 1e-7 rad,
+    where one rounding picks the branch and the two branches differ by up to the angle times the overlap; the
+    angles stay a decade or more from it."""
+    angle = 10.0 ** rng.choice([rng.uniform(-12.0, -8.5), rng.uniform(-6.0, -2.0)])
+    return u + angle * np.linalg.norm(u) * _perpendicular(rng, u)
+
+
+def _segment_pair(family, rng):
+    """One segment pair (p0, p1, q0, q1) of the family, in or near the unit box."""
+    p0, p1, q0, q1 = (_box_point(rng) for _ in range(4))
+    u = p1 - p0
+    if family == "generic":
+        return p0, p1, q0, q1
+    if family == "zero-length":
+        return rng.choice([(p0, p0, q0, q1), (p0, p1, q0, q0), (p0, p0, q0, q0)])
+    if family == "parallel":
+        return p0, p1, q0, q0 + rng.uniform(-1.0, 1.0) * u
+    if family == "collinear-overlapping":
+        return p0, p1, p0 + rng.uniform(-0.5, 0.5) * u, p0 + rng.uniform(0.5, 1.5) * u
+    v = _near_parallel(rng, u)
+    if family == "near-parallel":
+        # a gap well above the tilt: nearly crossing near-parallel segments are ill-conditioned, their computed
+        # distance off by about one rounding over the angle in any implementation
+        start = p0 + rng.uniform(-0.5, 1.5) * u + rng.uniform(0.05, 0.3) * _perpendicular(rng, u)
+        return p0, p1, start, start + rng.uniform(-1.0, 1.0) * v
+    # near-parallel, sharing one of the four endpoint pairs: the endpoint scan gives the exact 0, which the clamped
+    # closest points miss by more than a rounding when the shared point is p1
+    shared = rng.choice([p0, p1])
+    other = shared + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0) * v
+    return (p0, p1, *rng.choice([(shared, other), (other, shared)]))
+
+
+_FAMILIES = ["generic", "zero-length", "parallel", "collinear-overlapping", "near-parallel", "near-parallel-shared"]
+
+
+class TestNumpyOracle:
+    """The plain-float geometry against the same algorithms written on numpy arrays."""
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_segment_distance(self, family):
+        rng = random.Random(f"segments-{family}")
+        for _ in range(400):
+            pair = _segment_pair(family, rng)
+            found = _segment_distance(*(tuple(map(float, pt)) for pt in pair))
+            assert abs(found - segment_distance_np(*pair)) <= 1e-15, pair
+
+    def test_gauss_integral(self):
+        rng = random.Random(2025)
+        pairs = 0
+        while pairs < 60:
+            a = random_loop(rng, (0, 0, 0), radius=rng.uniform(0.5, 2.0), n=rng.randint(3, 20))
+            b = random_loop(rng, tuple(rng.uniform(-2.0, 2.0) for _ in range(3)), radius=rng.uniform(0.5, 2.0),
+                            n=rng.randint(3, 20))
+            # a pair that nearly touches sits next to a jump of the integral by an integer
+            if min(segment_distance_np(a[i - 1], a[i], b[j - 1], b[j]) for i in range(len(a))
+                   for j in range(len(b))) < 0.01:
+                continue
+            raw = gauss_integral(tuple(map(tuple, a.tolist())), tuple(map(tuple, b.tolist())))
+            assert abs(raw - gauss_integral_np(a, b)) <= 1e-12
+            pairs += 1
