@@ -181,6 +181,11 @@ def _cases() -> list[dict]:
         add(["check", "--invariant", "dw", "--k", "5", "-i", "{input}"], "unknot-p1", guard=guard)
     add(["check", "--invariant", "dw", "--k", "5", "--moves", "10", "-i", "{input}"], "hopf", guard="200")
     add(["check", "--invariant", "su2k3", "--moves", "10", "-i", "{input}"], "hopf", guard="100")
+    add(["check", "--invariant", "su2k3", "-i", "{input}"], "unknot-p1", guard="0")
+    # the paper range sums (k-1)**m terms; at k=2 its box has width 1
+    add(["check", "--invariant", "dw", "--k", "5", "--range", "paper", "--moves", "10", "-i", "{input}"], "hopf",
+        guard="3000000")
+    add(["check", "--invariant", "dw", "--k", "2", "--range", "paper", "--moves", "20", "-i", "{input}"], "hopf")
     add(["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "{input}"], "hopf")
     # a random script's size cap where k**m_cap is exactly the guard or 10**6
     for k, moves, seed, guard in (("10", "10", "1", None), ("10", "10", "2", None), ("100", "10", "0", None),
