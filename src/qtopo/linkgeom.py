@@ -139,6 +139,15 @@ def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], f
     ], delta / half / 2
 
 
+def _point_segment_distance(p: Point, q0: Point, q1: Point) -> float:
+    """Distance from a point to a segment (clamped projection)."""
+    (px, py, pz), (qx, qy, qz) = p, q0
+    vx, vy, vz = q1[0] - qx, q1[1] - qy, q1[2] - qz
+    c = vx * vx + vy * vy + vz * vz
+    t = min(1.0, max(0.0, ((px - qx) * vx + (py - qy) * vy + (pz - qz) * vz) / c)) if c > 0 else 0.0
+    return math.hypot(qx + t * vx - px, qy + t * vy - py, qz + t * vz - pz)
+
+
 def _segment_distance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     """Minimum distance between two segments (clamped closest points)."""
     (px, py, pz), (qx, qy, qz) = p0, q0
@@ -151,10 +160,11 @@ def _segment_distance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     d = ux * wx + uy * wy + uz * wz
     e = vx * wx + vy * wy + vz * wz
     denom = a * c - b * b
-    if denom > 1e-14 * max(a * c, 1e-30):
-        s = min(1.0, max(0.0, (b * e - c * d) / denom))
-    else:
-        s = 0.0  # near-parallel: fall back to endpoint scan
+    if denom <= 1e-14 * max(a * c, 1e-30):
+        # near-parallel: a closest pair has an endpoint of one segment, so project each endpoint onto the other
+        return min(_point_segment_distance(p0, q0, q1), _point_segment_distance(p1, q0, q1),
+                   _point_segment_distance(q0, p0, p1), _point_segment_distance(q1, p0, p1))
+    s = min(1.0, max(0.0, (b * e - c * d) / denom))
     t = (b * s + e) / c if c > 0 else 0.0
     t = min(1.0, max(0.0, t))
     # re-clamp s against the chosen t

@@ -111,6 +111,13 @@ def crossing_count_linking(a, b, tilt=0.0):
     return total // 2
 
 
+def _point_segment_distance_np(p, q0, q1):
+    v = q1 - q0
+    c = v @ v
+    t = min(1.0, max(0.0, ((p - q0) @ v) / c)) if c > 0 else 0.0
+    return np.linalg.norm(q0 + t * v - p)
+
+
 def segment_distance_np(p0, p1, q0, q1):
     """Minimum distance between two segments (clamped closest points), on numpy 3-vectors."""
     p0, p1, q0, q1 = (np.asarray(x, dtype=float) for x in (p0, p1, q0, q1))
@@ -120,10 +127,11 @@ def segment_distance_np(p0, p1, q0, q1):
     a, b, c = u @ u, u @ v, v @ v
     d, e = u @ w, v @ w
     denom = a * c - b * b
-    if denom > 1e-14 * max(a * c, 1e-30):
-        s = min(1.0, max(0.0, (b * e - c * d) / denom))
-    else:
-        s = 0.0
+    if denom <= 1e-14 * max(a * c, 1e-30):
+        # near-parallel: project each endpoint onto the other segment
+        return float(min(_point_segment_distance_np(p0, q0, q1), _point_segment_distance_np(p1, q0, q1),
+                         _point_segment_distance_np(q0, p0, p1), _point_segment_distance_np(q1, p0, p1)))
+    s = min(1.0, max(0.0, (b * e - c * d) / denom))
     t = (b * s + e) / c if c > 0 else 0.0
     t = min(1.0, max(0.0, t))
     if a > 0:

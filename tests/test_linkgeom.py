@@ -403,8 +403,8 @@ def _segment_pair(family, rng):
         # distance off by about one rounding over the angle in any implementation
         start = p0 + rng.uniform(-0.5, 1.5) * u + rng.uniform(0.05, 0.3) * _perpendicular(rng, u)
         return p0, p1, start, start + rng.uniform(-1.0, 1.0) * v
-    # near-parallel, sharing one of the four endpoint pairs: the endpoint scan gives the exact 0, which the clamped
-    # closest points miss by more than a rounding when the shared point is p1
+    # near-parallel, sharing one of the four endpoint pairs: the endpoint scan, or in the parallel branch the
+    # endpoint projections, give 0 to a rounding, which the clamped closest points miss when the shared point is p1
     shared = rng.choice([p0, p1])
     other = shared + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0) * v
     return (p0, p1, *rng.choice([(shared, other), (other, shared)]))
@@ -423,6 +423,15 @@ class TestNumpyOracle:
             pair = _segment_pair(family, rng)
             found = _segment_distance(*(tuple(map(float, pt)) for pt in pair))
             assert abs(found - segment_distance_np(*pair)) <= 1e-15, pair
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_near_parallel_endpoint_touching_the_other_interior(self, swap):
+        # at 4e-8 rad the parallel branch runs; the segments meet at p1 = (1, 0, 0), inside q0-q1
+        p = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        q = ((0.5, 2e-8, 0.0), (1.5, -2e-8, 0.0))
+        pair = (*q, *p) if swap else (*p, *q)
+        assert _segment_distance(*pair) < 1e-20
+        assert segment_distance_np(*pair) < 1e-20
 
     def test_gauss_integral(self):
         rng = random.Random(2025)
