@@ -160,9 +160,7 @@ def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None
     """Scalar quadratic Gauss sum G(k, a)."""
     k = _checked("--k", ModK.from_modulus, k).k
     if method == "brute":
-        guard = _guard_from_env()
-        if k > guard:
-            raise GuardExceeded(f"{k} terms exceeds guard {guard}")
+        invariants.charge(k, f"1*{k}", _guard_from_env())
         value = gauss_sum_brute(k, a)
     else:
         _checked("--k", require_odd_prime, k)

@@ -60,6 +60,12 @@ class SumRange(enum.Enum):
         return (0 if self is SumRange.ZERO_TO_KM1 else 1, k - 1)
 
 
+def charge(terms: int, formula: str, guard: int) -> None:
+    """The one term-count guard: every path that sums terms declares their count and its formula here first."""
+    if terms > guard:
+        raise GuardExceeded(f"{formula} = {terms} terms exceeds guard {guard}")
+
+
 @dataclass(frozen=True)
 class InvariantResult:
     """An invariant value with the provenance needed to compare methods.
@@ -106,9 +112,7 @@ def multivariate_gauss_sum(
     m = link.m
     lo, hi = offset_range.bounds(k)
     width = hi - lo + 1
-    total = width**m
-    if total > guard:
-        raise GuardExceeded(f"{width}**{m} = {total} terms exceeds guard {guard}")
+    charge(width**m, f"{width}**{m}", guard)
     if m == 0:
         return 1.0 + 0.0j
 
@@ -201,9 +205,7 @@ def tau_abelian(
     if method == "brute":
         value = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1, guard)
     elif method == "factorized":
-        terms = link.m * k
-        if terms > guard:
-            raise GuardExceeded(f"{link.m}*{k} = {terms} scalar terms exceeds guard {guard}")
+        charge(link.m * k, f"{link.m}*{k}", guard)
         diag = diagonalize_mod_k(link, ring)
         # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry
         half_powers = sum(ring.e + ring.valuation(entry) for entry in diag.d)
@@ -452,15 +454,15 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
 
 
 # invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention),
-#               (modulus, box width) or None for ring.k as both, a random script's m_cap or None for one from the
-#               guard); su2k3's (3, 2) is its level, printed as k, and its (Z/2)^m box of width 2;
+#               level, the k a report prints, or None for ring.k, box_width(k, range_convention), the width of
+#               the box each evaluation's brute sum runs over, or None for an exact path that sums no terms);
 #               evaluate looks the tau_* function up when called, so a patched one is the one timed
 _KIRBY_LAWS = {
-    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, (3, 2), 16),
+    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, 3, lambda k, rc: None),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
-                _abelian_law, None, None),
+                _abelian_law, None, lambda k, rc: k),
     "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law,
-           None, None),
+           None, lambda k, rc: k - SumRange(rc).bounds(k)[0]),
 }
 
 
@@ -483,31 +485,29 @@ def check_kirby_invariance(
 
     moves is a script or a count n. A random script draws each move from
     random.Random(seed), legal on the current matrix, and ends early when
-    none is; blow-ups stop at m_cap components (the table's 16 for su2k3,
-    else the largest m with k**m <= min(guard, 10**6), if above the input's m).
-    It is counted against the guard before the first draw, as n + 1
-    evaluations of the largest sum it could reach.
+    none is. Blow-ups stop at m_cap components: the largest m with
+    width**m <= min(guard, 10**6), width being that of the box each
+    evaluation sums (k, or k-1 for dw's paper range), or 16 where the box has
+    width 1 or, as for su2k3's exact sum, none. Before the first draw, charge
+    counts the script as n + 1 evaluations of the largest box it can reach.
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    evaluate, law, box, m_cap = _KIRBY_LAWS[invariant]
-    if box is None and ring is None:
+    evaluate, law, level, box_width = _KIRBY_LAWS[invariant]
+    if level is None and ring is None:
         raise ValueError(f"{invariant} invariance check requires a ring")
-    k, width = box or (ring.k, ring.k)
+    k = level or ring.k
+    width = box_width(k, range_convention)
 
     rng = None
     if isinstance(moves, int):
-        if m_cap is None:
-            if guard < 1:
-                raise GuardExceeded(f"guard {guard} admits no terms")
-            budget = min(guard, 10**6)
-            m_cap = max(link.m, next(m for m in itertools.count() if k ** (m + 1) > budget))
-        # each move changes m by at most one, so no evaluation sums more than width**m_top terms
-        m_top = max(link.m, min(m_cap, link.m + moves))
-        evaluations = max(moves, 0) + 1
-        total = evaluations * width**m_top
-        if total > guard:
-            raise GuardExceeded(f"{evaluations} evaluations * {width}**{m_top} = {total} terms exceeds guard {guard}")
+        budget = min(guard, 10**6)
+        m_cap = 16 if width in (None, 1) else next(m for m in itertools.count() if width ** (m + 1) > budget)
+        if width is not None:
+            # each move changes m by at most one, so no evaluation sums more than width**m_top terms
+            m_top = max(link.m, min(m_cap, link.m + moves))
+            evaluations = max(moves, 0) + 1
+            charge(evaluations * width**m_top, f"{evaluations} evaluations * {width}**{m_top}", guard)
         rng = random.Random(seed)
 
     script: list[Move] = []

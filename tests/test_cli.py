@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from datetime import timedelta
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from geom_helpers import hopf_pair, outward_offsets, polylink_json
 import qtopo
-from qtopo import invariants
+from qtopo import cli, invariants
 from qtopo.cli import main
 from qtopo.errors import GeometryError, GuardExceeded, SchemaError
 from qtopo.linkgeom import PolyLink
@@ -342,14 +343,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("invariant", ["abelian", "dw", "su2k3"])
     @pytest.mark.parametrize("guard", ["0", "-5"])
     def test_check_with_guard_below_one_is_4(self, runner, unknot_p1, invariant, guard):
+        # su2k3's exact sum declares no terms, so no guard bounds it: it gives a value instead
         modulus = [] if invariant == "su2k3" else ["--k", "5"]
         result = runner.invoke(
             main, ["check", "--invariant", invariant, *modulus, "-i", str(unknot_p1)],
             env={"QTOPO_GUARD": guard},
         )
-        assert result.exit_code == 4
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert "guard exceeded:" in result.output
+        if invariant == "su2k3":
+            assert result.exit_code == 0
+            assert parse(result)["passed"] and parse(result)["before"] == {"re": 1.0, "im": 0.0}
+        else:
+            assert result.exit_code == 4
+            assert f"guard exceeded: 11 evaluations * 5**1 = 55 terms exceeds guard {guard}" in result.output
 
     def test_brute_gauss_sum_respects_guard(self, runner):
         result = runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1"], env={"QTOPO_GUARD": "100"})
@@ -365,11 +371,36 @@ class TestExitCodes:
         assert parse(default) == parse(runner.invoke(main, ["gauss-sum", "--k", "1009", "--a", "1"],
                                                      env={"QTOPO_GUARD": "1009"}))
 
+    def test_brute_gauss_sum_charges_the_k_terms_it_sums(self, runner, monkeypatch):
+        declared, summed = [], []
+        charge, brute = invariants.charge, cli.gauss_sum_brute
+
+        def spy(terms, formula, guard):
+            declared.append(terms)
+            charge(terms, formula, guard)
+
+        def counted(k, a):
+            summed.append(k)
+            return brute(k, a)
+
+        monkeypatch.setattr(invariants, "charge", spy)
+        monkeypatch.setattr(cli, "gauss_sum_brute", counted)
+        rng = random.Random(30)
+        for _ in range(10):
+            k, a = rng.randint(2, 300), rng.randint(-50, 50)
+            args = ["gauss-sum", "--k", str(k), "--a", str(a)]
+            declared.clear(), summed.clear()
+            assert runner.invoke(main, args, env={"QTOPO_GUARD": str(k)}).exit_code == 0
+            assert declared == summed == [k]
+            result = runner.invoke(main, args, env={"QTOPO_GUARD": str(k - 1)})
+            assert result.exit_code == 4
+            assert result.stderr == f"guard exceeded: 1*{k} = {k} terms exceeds guard {k - 1}\n"
+
     def test_factorized_abelian_counts_scalar_terms_against_guard(self, runner, hopf_matrix):
         args = ["tau-abelian", "--k", "1009", "-i", str(hopf_matrix)]
         result = runner.invoke(main, args, env={"QTOPO_GUARD": "100"})
         assert result.exit_code == 4
-        assert "guard exceeded: 2*1009 = 2018 scalar terms" in result.output
+        assert "guard exceeded: 2*1009 = 2018 terms exceeds guard 100" in result.output
         assert runner.invoke(main, args, env={"QTOPO_GUARD": "2017"}).exit_code == 4
         default = runner.invoke(main, args)
         assert default.exit_code == 0

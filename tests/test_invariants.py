@@ -461,14 +461,26 @@ class TestKirbyChecks:
         assert len(report.script) == 10
         assert calls == list(report.script)
 
-    # k**m_cap == min(guard, 10**6) exactly, where a float log_k rounds one short
-    @pytest.mark.parametrize("k,guard,m_cap", [(10, 10**6, 6), (100, 10**8, 3), (3, 243, 5), (10, 1000, 3),
-                                               (2, 2**19, 19)])
-    def test_random_script_size_cap_is_exact_at_powers(self, k, guard, m_cap):
+    # width**m_cap == min(guard, 10**6) exactly, where a float log_width rounds one short. The box has width k on
+    # the full range and k-1 on the paper range; su2k3 sums no terms, so it draws its script at guard 0 and its
+    # blow-ups stop at 16
+    @pytest.mark.parametrize("k,guard,m_cap,range_convention", [
+        (10, 10**6, 6, "full"), (100, 10**8, 3, "full"), (3, 243, 5, "full"), (10, 1000, 3, "full"),
+        (2, 2**19, 19, "full"), (11, 10**8, 6, "paper"), (None, 0, 16, None),
+    ], ids=["10-1000000-6", "100-100000000-3", "3-243-5", "10-1000-3", "2-524288-19", "paper-11-100000000-6",
+            "su2k3-0-16"])
+    def test_random_script_size_cap_is_exact_at_powers(self, k, guard, m_cap, range_convention):
         hopf = FramedLinkMatrix.from_rows([[0, 1], [1, 0]])
+        if k is None:
+            report = check_kirby_invariance(hopf, "su2k3", 200, guard=guard)
+            steps = ({"blow_up": 1, "blow_down": -1}.get(move[0], 0) for move in report.script)
+            assert max(itertools.accumulate(steps, initial=hopf.m)) == m_cap
+            return
+        width = k if range_convention == "full" else k - 1
         # the guard pre-count names the largest m a 200-move script could reach from m = 2
-        with pytest.raises(GuardExceeded, match=rf"^201 evaluations \* {k}\*\*{m_cap} = "):
-            check_kirby_invariance(hopf, "dw", 200, ring=ModK.from_modulus(k), guard=guard)
+        with pytest.raises(GuardExceeded, match=rf"^201 evaluations \* {width}\*\*{m_cap} = "):
+            check_kirby_invariance(hopf, "dw", 200, ring=ModK.from_modulus(k), range_convention=range_convention,
+                                   guard=guard)
 
     def test_random_su2k3_scripts(self):
         rng = random.Random(111)
@@ -480,3 +492,94 @@ class TestKirbyChecks:
     def test_illegal_move_in_script_raises(self):
         with pytest.raises(ValueError):
             check_kirby_invariance(FramedLinkMatrix.from_rows([[2]]), "su2k3", [("blow_down", 0)])
+
+
+class TestDeclaredCost:
+    """Each path charges the terms it sums: a guard equal to the declared cost passes, and one below it raises."""
+
+    @pytest.fixture
+    def charged(self, monkeypatch):
+        """The terms each charge call declares, in order."""
+        declared = []
+        real = invariants.charge
+
+        def spy(terms, formula, guard):
+            declared.append(terms)
+            real(terms, formula, guard)
+
+        monkeypatch.setattr(invariants, "charge", spy)
+        return declared
+
+    @pytest.fixture
+    def binned(self, monkeypatch):
+        """The residues the brute sum counts: one per term, at every denominator below its chunk size."""
+        summed = []
+        real = np.bincount
+
+        def spy(residues, *args, **kwargs):
+            summed.append(len(residues))
+            return real(residues, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        return summed
+
+    def test_brute_sum(self, monkeypatch, charged, binned):
+        monkeypatch.setattr(invariants, "_CHUNK", 16)  # many chunks and blocks, each counted once
+        rng = random.Random(26)
+        for _ in range(30):
+            m, k, offset_range = rng.randint(1, 4), rng.randint(2, 7), rng.choice(list(SumRange))
+            link, width = random_symmetric(rng, m), k - offset_range.bounds(k)[0]
+            charged.clear(), binned.clear()
+            multivariate_gauss_sum(link, k, Fraction(rng.choice((1, -1)), k), offset_range)
+            assert charged == [width**m] and sum(binned) == width**m
+            multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard=width**m)
+            message = rf"^{width}\*\*{m} = {width**m} terms exceeds guard {width**m - 1}$"
+            with pytest.raises(GuardExceeded, match=message):
+                multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard=width**m - 1)
+
+    def test_factorized_abelian(self, monkeypatch, charged):
+        scalar_terms = []
+
+        def counted(k, a):
+            scalar_terms.append(k)
+            return gauss_sum_brute(k, a)
+
+        monkeypatch.setattr(invariants, "gauss_sum_brute", counted)
+        rng = random.Random(27)
+        for _ in range(20):
+            m, ring = rng.randint(0, 5), ModK.from_modulus(rng.choice((5, 13, 9, 25, 81)))
+            link = random_symmetric(rng, m)
+            charged.clear(), scalar_terms.clear()
+            tau_abelian(link, ring)
+            assert charged == [m * ring.k] and sum(scalar_terms) == m * ring.k
+            tau_abelian(link, ring, guard=m * ring.k)
+            message = rf"^{m}\*{ring.k} = {m * ring.k} terms exceeds guard {m * ring.k - 1}$"
+            with pytest.raises(GuardExceeded, match=message):
+                tau_abelian(link, ring, guard=m * ring.k - 1)
+
+    def test_kirby_pre_count(self, charged, binned):
+        rng = random.Random(28)
+        for _ in range(30):
+            link = random_symmetric(rng, rng.randint(1, 3))
+            invariant = rng.choice(("abelian", "dw"))
+            ring = ModK.from_modulus(rng.choice((5, 13)) if invariant == "abelian" else rng.randint(2, 7))
+            range_convention = rng.choice(("full", "paper")) if invariant == "dw" else "full"
+            moves, seed = rng.randint(0, 6), rng.randrange(10**6)
+            charged.clear(), binned.clear()
+            check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention)
+            # the pre-count bounds the script's evaluations, each of which charges its own brute sum
+            declared, width = charged[0], ring.k - SumRange(range_convention).bounds(ring.k)[0]
+            assert sum(binned) == sum(charged[1:]) <= declared
+            check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention,
+                                   guard=declared)
+            message = rf"^{moves + 1} evaluations \* {width}\*\*\d+ = {declared} terms exceeds guard {declared - 1}$"
+            with pytest.raises(GuardExceeded, match=message):
+                check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring,
+                                       range_convention=range_convention, guard=declared - 1)
+
+    def test_su2k3_declares_nothing(self, charged):
+        rng = random.Random(29)
+        for _ in range(10):
+            link = random_symmetric(rng, rng.randint(0, 6))
+            assert check_kirby_invariance(link, "su2k3", 10, seed=rng.randrange(10**6), guard=0).passed
+        assert charged == []

@@ -4,7 +4,9 @@ A function, class or method counts as called when some other line of
 src/qtopo/ or bench/ names it: as a name, an attribute, an import, or a part
 of a dotted path in the tracer's TARGETS. Dunders and the CLI commands,
 which click calls, are exempt. The definitions that only TARGETS names are a
-fixed list, so one that loses its last library caller shows.
+fixed list, so one that loses its last library caller shows. A last scan
+checks that invariants.charge is the one place that raises a term-count
+GuardExceeded.
 """
 
 import ast
@@ -79,3 +81,22 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
 def test_tracer_only_definitions_are_the_known_list():
     # a definition that loses its last library caller but stays traced shows here, not silently above
     assert set(_uncalled(count_traced=False)) - set(_uncalled(count_traced=True)) == TRACER_ONLY
+
+
+def _guard_errors_built(node: ast.AST, where: str | None = None):
+    """(innermost enclosing function, literal text of the message) for each GuardExceeded(...) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "GuardExceeded" in (getattr(child.func, "id", None),
+                                                               getattr(child.func, "attr", None)):
+            yield where, "".join(const.value for const in ast.walk(child)
+                                 if isinstance(const, ast.Constant) and isinstance(const.value, str))
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _guard_errors_built(child, inner)
+
+
+def test_only_charge_builds_a_term_count_guard_error():
+    # every path states its term count through invariants.charge; the other guard errors are size checks on a
+    # value or a modulus, and none of them counts terms
+    built = [found for path in LIBRARY for found in _guard_errors_built(ast.parse(path.read_text(), str(path)))]
+    assert [where for where, text in built if "terms" in text] == ["charge"]
+    assert all("float range" in text or "int64" in text for where, text in built if where != "charge")
