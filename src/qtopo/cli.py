@@ -1,9 +1,10 @@
 """Command-line front end: JSON link data in, invariant/report JSON out.
 
 Exit codes: 0 success, 2 invalid configuration, 3 input schema or geometry
-error, 4 guard exceeded (too many terms, or a value beyond the float range),
-5 property-check failure. The command group is the one error boundary: it
-maps every command's schema, geometry and guard errors to exits 3 and 4.
+error, 4 guard exceeded (a path's declared term count is above the guard, or
+a value is beyond the float range), 5 property-check failure. The command
+group is the one error boundary: it maps every command's schema, geometry
+and guard errors to exits 3 and 4.
 Invalid configuration includes a negative simulate --seed, a simulate --eps
 beyond the int64 shot range (below about 1.8e-9), every --k below 2 or from
 3.3e24 on, where primality is not proven, and an -o file that cannot be
@@ -12,11 +13,13 @@ before it reads the input, so exit 2 wins over exit 3. Each --k is a
 numtheory.ModK, and each command states what it needs of it: check
 --invariant dw takes every k that tau-dw takes, and check --invariant su2k3
 takes no --k. Only dw takes check --range paper; the other invariants sum
-the whole group. check counts a random move script's terms against the
-guard before it builds the script.
+the whole group.
 Identical configuration and seed produce byte-identical output. The
-environment variable QTOPO_GUARD overrides the enumeration guard (expert use);
-tau-su2k3 sums no terms, so the guard does not bound it.
+environment variable QTOPO_GUARD overrides the term guard (expert use).
+Every term count, check's pre-count of its script included, goes through
+invariants.charge, so each exit-4 term message reads "<formula> = <terms>
+terms exceeds guard <guard>". dw's paper range counts (k-1)**m terms, and
+su2k3 sums none, in tau-su2k3 or check, so no guard bounds it.
 """
 
 from __future__ import annotations

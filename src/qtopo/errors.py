@@ -21,7 +21,10 @@ def decode_json(source: str | Path) -> object:
 
 
 class GuardExceeded(RuntimeError):
-    """A brute-force enumeration would exceed the configured term budget, or a value is beyond the float range."""
+    """A term count declared through invariants.charge exceeds the guard, or a value or modulus is too large.
+
+    Every term-count message reads "<formula> = <terms> terms exceeds guard <guard>"; su2k3 sums no terms.
+    """
 
 
 class GeometryError(ValueError):

@@ -489,7 +489,8 @@ def check_kirby_invariance(
     width**m <= min(guard, 10**6), width being that of the box each
     evaluation sums (k, or k-1 for dw's paper range), or 16 where the box has
     width 1 or, as for su2k3's exact sum, none. Before the first draw, charge
-    counts the script as n + 1 evaluations of the largest box it can reach.
+    counts the script as n + 1 evaluations of the largest box it can reach,
+    in the one message form; su2k3 is never counted against the guard.
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
