@@ -112,6 +112,7 @@ def crossing_count_linking(a, b, tilt=0.0):
 
 
 def _point_segment_distance_np(p, q0, q1):
+    """Distance from a point to a segment (clamped projection), on numpy 3-vectors."""
     v = q1 - q0
     c = v @ v
     t = min(1.0, max(0.0, ((p - q0) @ v) / c)) if c > 0 else 0.0
