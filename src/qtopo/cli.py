@@ -6,20 +6,21 @@ a value is beyond the float range), 5 property-check failure. The command
 group is the one error boundary: it maps every command's schema, geometry
 and guard errors to exits 3 and 4.
 Invalid configuration includes a negative simulate --seed, a simulate --eps
-beyond the int64 shot range (below about 1.8e-9), every --k below 2 or from
-3.3e24 on, where primality is not proven, and an -o file that cannot be
-written. Each command runs the library check its options need (_checked)
-before it reads the input, so exit 2 wins over exit 3. Each --k is a
-numtheory.ModK, and each command states what it needs of it: check
---invariant dw takes every k that tau-dw takes, and check --invariant su2k3
-takes no --k. Only dw takes check --range paper; the other invariants sum
-the whole group.
+beyond the int64 shot range (below about 1.8e-9), a check --moves above
+10**3, every --k below 2 or from 3.3e24 on, where primality is not proven,
+and an -o file that cannot be written. Each command runs the library check
+its options need (_checked) before it reads the input, so exit 2 wins over
+exit 3. Each --k is a numtheory.ModK, and each command states what it needs
+of it: check --invariant dw takes every k that tau-dw takes, and check
+--invariant su2k3 takes no --k. Only dw takes check --range paper; the other
+invariants sum the whole group.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the term guard (expert use).
 Every term count, check's pre-count of its script included, goes through
 invariants.charge, so each exit-4 term message reads "<formula> = <terms>
 terms exceeds guard <guard>". dw's paper range counts (k-1)**m terms, and
-su2k3 sums none, in tau-su2k3 or check, so no guard bounds it.
+su2k3 sums none, in tau-su2k3 or check, so no guard bounds it; check's
+--moves bound does.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
     ring = None if k is None else _checked("--k", ModK.from_modulus, k)
     if invariant == "abelian":
         _checked("--k", ModK.require_odd_prime_power, ring)
+    _checked("--moves", invariants.require_random_moves, moves)
     guard = _guard_from_env()
     link = _load_link(input_path)
     report = invariants.check_kirby_invariance(

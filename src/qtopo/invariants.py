@@ -40,6 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_GUARD = 10**8
+MAX_RANDOM_MOVES = 10**3
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CHUNK = 1 << 18
 
@@ -58,6 +59,10 @@ class SumRange(enum.Enum):
 
     def bounds(self, k: int) -> tuple[int, int]:
         return (0 if self is SumRange.ZERO_TO_KM1 else 1, k - 1)
+
+    def width(self, k: int) -> int:
+        lo, hi = self.bounds(k)
+        return hi - lo + 1
 
 
 def charge(terms: int, formula: str, guard: int) -> None:
@@ -110,8 +115,7 @@ def multivariate_gauss_sum(
     if k < 2:
         raise ValueError(f"modulus {k} must be >= 2")
     m = link.m
-    lo, hi = offset_range.bounds(k)
-    width = hi - lo + 1
+    lo, width = offset_range.bounds(k)[0], offset_range.width(k)
     charge(width**m, f"{width}**{m}", guard)
     if m == 0:
         return 1.0 + 0.0j
@@ -351,6 +355,14 @@ def apply_move(link: FramedLinkMatrix, move: Move) -> FramedLinkMatrix:
     raise ValueError(f"unknown move {move!r}")
 
 
+def require_random_moves(moves: int) -> int:
+    """moves, if a random script may be that long. The guard counts terms, and su2k3's exact evaluation or a box of
+    width 1 sums at most one, so the script's own length is bounded too."""
+    if moves > MAX_RANDOM_MOVES:
+        raise ValueError(f"a random script has at most {MAX_RANDOM_MOVES} moves, got {moves}")
+    return moves
+
+
 def _random_move(rng: random.Random, cur: FramedLinkMatrix, m_cap: int) -> Move | None:
     """A random move that is legal on cur, or None when no move is."""
     # a blow-down removes a +-1-framed component that links no other
@@ -462,7 +474,7 @@ _KIRBY_LAWS = {
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
                 _abelian_law, None, lambda k, rc: k),
     "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law,
-           None, lambda k, rc: k - SumRange(rc).bounds(k)[0]),
+           None, lambda k, rc: SumRange(rc).width(k)),
 }
 
 
@@ -483,14 +495,16 @@ def check_kirby_invariance(
     handle slides are asserted (for the full summation range); blow-up
     behavior is recorded in the notes, not asserted.
 
-    moves is a script or a count n. A random script draws each move from
+    moves is a script or a count n of at most MAX_RANDOM_MOVES
+    (require_random_moves). A random script draws each move from
     random.Random(seed), legal on the current matrix, and ends early when
     none is. Blow-ups stop at m_cap components: the largest m with
-    width**m <= min(guard, 10**6), width being that of the box each
-    evaluation sums (k, or k-1 for dw's paper range), or 16 where the box has
-    width 1 or, as for su2k3's exact sum, none. Before the first draw, charge
-    counts the script as n + 1 evaluations of the largest box it can reach,
-    in the one message form; su2k3 is never counted against the guard.
+    width**m <= min(guard, 10**6), if above the input's m, width being that
+    of the box each evaluation sums (k, or k-1 for dw's paper range), or 16
+    where the box has width 1 or, as for su2k3's exact sum, none. Before the
+    first draw, charge counts the script as n + 1 evaluations of the largest
+    box it can reach, in the one message form; su2k3 is never counted
+    against the guard, so only MAX_RANDOM_MOVES bounds its script.
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
@@ -502,8 +516,12 @@ def check_kirby_invariance(
 
     rng = None
     if isinstance(moves, int):
-        budget = min(guard, 10**6)
-        m_cap = 16 if width in (None, 1) else next(m for m in itertools.count() if width ** (m + 1) > budget)
+        require_random_moves(moves)
+        if width in (None, 1):
+            m_cap = 16
+        else:
+            budget = min(guard, 10**6)
+            m_cap = max(link.m, next(m for m in itertools.count() if width ** (m + 1) > budget))
         if width is not None:
             # each move changes m by at most one, so no evaluation sums more than width**m_top terms
             m_top = max(link.m, min(m_cap, link.m + moves))

@@ -69,6 +69,7 @@ INPUTS = {
     "lens-5": json.dumps({"J": [[5]]}),
     "three": json.dumps({"J": [[2, 1, 0], [1, -3, 1], [0, 1, 4]]}),
     "zero-2": json.dumps({"J": [[0, 0], [0, 0]]}),
+    "unknots-3": json.dumps({"J": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
     "empty": json.dumps({"J": []}),
     "zero-12": json.dumps({"J": [[0] * 12 for _ in range(12)]}),
     "huge-entry": '{"J": [[100000000000000000000]]}',
@@ -186,7 +187,11 @@ def _cases() -> list[dict]:
     add(["check", "--invariant", "dw", "--k", "5", "--range", "paper", "--moves", "10", "-i", "{input}"], "hopf",
         guard="3000000")
     add(["check", "--invariant", "dw", "--k", "2", "--range", "paper", "--moves", "20", "-i", "{input}"], "hopf")
-    add(["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "{input}"], "hopf")
+    # a random script has at most 10**3 moves: su2k3 and a width-1 box sum at most one term per evaluation
+    for invariant in (["dw", "--k", "5"], ["su2k3"]):
+        add(["check", "--invariant", *invariant, "--moves", "100000000", "-i", "{input}"], "hopf")
+    # m_cap is the input's m where that is above the guard's cap: 101**3 > 10**6, yet a blow-down may be undone
+    add(["check", "--invariant", "abelian", "--k", "101", "--moves", "4", "-i", "{input}"], "unknots-3")
     # a random script's size cap where k**m_cap is exactly the guard or 10**6
     for k, moves, seed, guard in (("10", "10", "1", None), ("10", "10", "2", None), ("100", "10", "0", None),
                                   ("3", "10", "0", "243"), ("10", "3", "0", "1000")):

@@ -166,6 +166,17 @@ class TestCheckCommand:
         if result.exit_code == 2:
             assert "--range paper is for dw only" in result.output
 
+    @pytest.mark.parametrize("invariant,modulus", [("su2k3", []), ("dw", ["--k", "2", "--range", "paper"]),
+                                                   ("dw", ["--k", "5"])])
+    def test_moves_above_the_script_bound_is_config_error(self, runner, tmp_path, invariant, modulus):
+        # checked before the input is read, and before any guard: su2k3 and a width-1 box have no other bound
+        bad = tmp_path / "bad.json"
+        bad.write_text("{[")
+        result = runner.invoke(main, ["check", "--invariant", invariant, *modulus, "--moves", "1001", "-i", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == (
+            "Error: Invalid value for '--moves': a random script has at most 1000 moves, got 1001")
+
     def test_missing_k_is_config_error(self, runner, hopf_matrix):
         result = runner.invoke(main, ["check", "--invariant", "abelian", "-i", str(hopf_matrix)])
         assert result.exit_code == 2
@@ -575,6 +586,7 @@ def _invocations(draw):
 @example(args=["simulate", "--k", "5", "--a", "1", "--eps", "1e-9"], guard=None)
 @example(args=["simulate", "--k", "5", "--a", "1", "--eps", "1e-300"], guard=None)
 @example(args=["check", "--invariant", "dw", "--k", "5", "--moves", "100000000", "-i", "hopf.json"], guard=None)
+@example(args=["check", "--invariant", "su2k3", "--moves", "100000000", "-i", "hopf.json"], guard=None)
 @example(args=["tau-abelian", "--k", "1000000000000000003", "-i", "hopf.json"], guard=None)
 @example(args=["tau-dw", "--k", str(10**309), "-i", "empty.json"], guard=None)
 def test_no_option_gives_a_traceback(tmp_path_factory, args, guard):

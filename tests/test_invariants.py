@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qtopo import invariants
 from qtopo.errors import GuardExceeded
 from qtopo.invariants import (
+    MAX_RANDOM_MOVES,
     SumRange,
     apply_move,
     check_kirby_invariance,
@@ -476,11 +477,27 @@ class TestKirbyChecks:
             steps = ({"blow_up": 1, "blow_down": -1}.get(move[0], 0) for move in report.script)
             assert max(itertools.accumulate(steps, initial=hopf.m)) == m_cap
             return
-        width = k if range_convention == "full" else k - 1
+        width = SumRange(range_convention).width(k)
         # the guard pre-count names the largest m a 200-move script could reach from m = 2
         with pytest.raises(GuardExceeded, match=rf"^201 evaluations \* {width}\*\*{m_cap} = "):
             check_kirby_invariance(hopf, "dw", 200, ring=ModK.from_modulus(k), range_convention=range_convention,
                                    guard=guard)
+
+    def test_random_script_may_regrow_to_the_input_m(self):
+        # 101**3 > 10**6 caps the box at m = 2, below the input's m = 3; a blow-down may still be undone
+        unknots = FramedLinkMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        report = check_kirby_invariance(unknots, "abelian", 4, seed=0, ring=ModK.from_modulus(101))
+        assert report.script[:2] == (("blow_down", 1), ("blow_up", -1))
+
+    @pytest.mark.parametrize("invariant,k,range_convention", [("su2k3", None, "full"), ("dw", 2, "paper")])
+    def test_random_script_length_is_bounded(self, invariant, k, range_convention):
+        # neither sums more than one term per evaluation, so no guard bounds the script
+        hopf = FramedLinkMatrix.from_rows([[0, 1], [1, 0]])
+        ring = None if k is None else ModK.from_modulus(k)
+        with pytest.raises(ValueError, match=rf"^a random script has at most {MAX_RANDOM_MOVES} moves, got "):
+            check_kirby_invariance(hopf, invariant, MAX_RANDOM_MOVES + 1, ring=ring, range_convention=range_convention)
+        report = check_kirby_invariance(hopf, invariant, MAX_RANDOM_MOVES, ring=ring, range_convention=range_convention)
+        assert len(report.script) == MAX_RANDOM_MOVES
 
     def test_random_su2k3_scripts(self):
         rng = random.Random(111)
@@ -528,7 +545,7 @@ class TestDeclaredCost:
         rng = random.Random(26)
         for _ in range(30):
             m, k, offset_range = rng.randint(1, 4), rng.randint(2, 7), rng.choice(list(SumRange))
-            link, width = random_symmetric(rng, m), k - offset_range.bounds(k)[0]
+            link, width = random_symmetric(rng, m), offset_range.width(k)
             charged.clear(), binned.clear()
             multivariate_gauss_sum(link, k, Fraction(rng.choice((1, -1)), k), offset_range)
             assert charged == [width**m] and sum(binned) == width**m
@@ -568,7 +585,7 @@ class TestDeclaredCost:
             charged.clear(), binned.clear()
             check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention)
             # the pre-count bounds the script's evaluations, each of which charges its own brute sum
-            declared, width = charged[0], ring.k - SumRange(range_convention).bounds(ring.k)[0]
+            declared, width = charged[0], SumRange(range_convention).width(ring.k)
             assert sum(binned) == sum(charged[1:]) <= declared
             check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention,
                                    guard=declared)
