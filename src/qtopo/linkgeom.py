@@ -139,17 +139,14 @@ def _normalized(curves: list[Curve], delta: float = 1.0) -> tuple[list[Curve], f
     ], delta / half / 2
 
 
-def _point_segment_distance(p: Point, q0: Point, q1: Point) -> float:
-    """Distance from a point to a segment (clamped projection)."""
-    (px, py, pz), (qx, qy, qz) = p, q0
-    vx, vy, vz = q1[0] - qx, q1[1] - qy, q1[2] - qz
-    c = vx * vx + vy * vy + vz * vz
-    t = min(1.0, max(0.0, ((px - qx) * vx + (py - qy) * vy + (pz - qz) * vz) / c)) if c > 0 else 0.0
-    return math.hypot(qx + t * vx - px, qy + t * vy - py, qz + t * vz - pz)
-
-
 def _segment_distance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
-    """Minimum distance between two segments (clamped closest points)."""
+    """Minimum distance between two segments.
+
+    The squared distance is convex over the pair of segment parameters, so
+    its minimum is either the lines' own closest pair, when that lies inside
+    both segments, or on an edge of the parameter square: an endpoint of one
+    segment projected onto the other.
+    """
     (px, py, pz), (qx, qy, qz) = p0, q0
     ux, uy, uz = p1[0] - px, p1[1] - py, p1[2] - pz
     vx, vy, vz = q1[0] - qx, q1[1] - qy, q1[2] - qz
@@ -159,19 +156,34 @@ def _segment_distance(p0: Point, p1: Point, q0: Point, q1: Point) -> float:
     c = vx * vx + vy * vy + vz * vz
     d = ux * wx + uy * wy + uz * wz
     e = vx * wx + vy * wy + vz * wz
-    denom = a * c - b * b
-    if denom <= 1e-14 * max(a * c, 1e-30):
-        # near-parallel: a closest pair has an endpoint of one segment, so project each endpoint onto the other
-        return min(_point_segment_distance(p0, q0, q1), _point_segment_distance(p1, q0, q1),
-                   _point_segment_distance(q0, p0, p1), _point_segment_distance(q1, p0, p1))
-    s = min(1.0, max(0.0, (b * e - c * d) / denom))
-    t = (b * s + e) / c if c > 0 else 0.0
-    t = min(1.0, max(0.0, t))
-    # re-clamp s against the chosen t
-    if a > 0:
-        s = min(1.0, max(0.0, (b * t - d) / a))
-    best = math.hypot(px + s * ux - (qx + t * vx), py + s * uy - (qy + t * vy), pz + s * uz - (qz + t * vz))
-    return min(best, math.dist(p0, q0), math.dist(p0, q1), math.dist(p1, q0), math.dist(p1, q1))
+    t0, t1 = (e / c, (e + b) / c) if c > 0 else (0.0, 0.0)
+    s0, s1 = (-d / a, (b - d) / a) if a > 0 else (0.0, 0.0)
+    t0 = 0.0 if t0 < 0.0 else 1.0 if t0 > 1.0 else t0
+    t1 = 0.0 if t1 < 0.0 else 1.0 if t1 > 1.0 else t1
+    s0 = 0.0 if s0 < 0.0 else 1.0 if s0 > 1.0 else s0
+    s1 = 0.0 if s1 < 0.0 else 1.0 if s1 > 1.0 else s1
+    s, t, best = 0.0, t0, math.hypot(wx - t0 * vx, wy - t0 * vy, wz - t0 * vz)
+    other = math.hypot(wx + ux - t1 * vx, wy + uy - t1 * vy, wz + uz - t1 * vz)
+    if other < best:
+        s, t, best = 1.0, t1, other
+    other = math.hypot(wx + s0 * ux, wy + s0 * uy, wz + s0 * uz)
+    if other < best:
+        s, t, best = s0, 0.0, other
+    other = math.hypot(wx + s1 * ux - vx, wy + s1 * uy - vy, wz + s1 * uz - vz)
+    if other < best:
+        s, t, best = s1, 1.0, other
+    # |u x v|**2 = a*c - b*b without its cancellation. One step from the nearest projection (s, t) reaches the lines'
+    # closest pair; its offset r is short when nearly parallel segments cross, so the step keeps its digits down to
+    # about 1e-10 rad, below which a crossing reads at most the angle times the segments' length
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    nn = nx * nx + ny * ny + nz * nz
+    if nn > 1e-20 * a * c:
+        rx, ry, rz = wx + s * ux - t * vx, wy + s * uy - t * vy, wz + s * uz - t * vz
+        dr = ux * rx + uy * ry + uz * rz
+        er = vx * rx + vy * ry + vz * rz
+        if 0.0 <= s + (b * er - c * dr) / nn <= 1.0 and 0.0 <= t + (a * er - b * dr) / nn <= 1.0:
+            return abs(nx * rx + ny * ry + nz * rz) / math.sqrt(nn)
+    return best
 
 
 def _check_embedded(curve: Curve, label: str) -> None:

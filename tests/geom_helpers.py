@@ -111,37 +111,26 @@ def crossing_count_linking(a, b, tilt=0.0):
     return total // 2
 
 
-def _point_segment_distance_np(p, q0, q1):
-    """Distance from a point to a segment (clamped projection), on numpy 3-vectors."""
-    v = q1 - q0
-    c = v @ v
-    t = min(1.0, max(0.0, ((p - q0) @ v) / c)) if c > 0 else 0.0
-    return np.linalg.norm(q0 + t * v - p)
-
-
 def segment_distance_np(p0, p1, q0, q1):
-    """Minimum distance between two segments (clamped closest points), on numpy 3-vectors."""
+    """Minimum distance between two segments, on numpy 3-vectors: the nearest endpoint projection, or the lines'
+    distance when their closest pair lies inside both segments."""
     p0, p1, q0, q1 = (np.asarray(x, dtype=float) for x in (p0, p1, q0, q1))
     u = p1 - p0
     v = q1 - q0
     w = p0 - q0
     a, b, c = u @ u, u @ v, v @ v
     d, e = u @ w, v @ w
-    denom = a * c - b * b
-    if denom <= 1e-14 * max(a * c, 1e-30):
-        # near-parallel: project each endpoint onto the other segment
-        return float(min(_point_segment_distance_np(p0, q0, q1), _point_segment_distance_np(p1, q0, q1),
-                         _point_segment_distance_np(q0, p0, p1), _point_segment_distance_np(q1, p0, p1)))
-    s = min(1.0, max(0.0, (b * e - c * d) / denom))
-    t = (b * s + e) / c if c > 0 else 0.0
-    t = min(1.0, max(0.0, t))
-    if a > 0:
-        s = min(1.0, max(0.0, (b * t - d) / a))
-    best = np.linalg.norm((p0 + s * u) - (q0 + t * v))
-    for pp in (p0, p1):
-        for qq in (q0, q1):
-            best = min(best, np.linalg.norm(pp - qq))
-    return float(best)
+    t0, t1 = (min(1.0, max(0.0, x / c)) for x in (e, e + b)) if c > 0 else (0.0, 0.0)
+    s0, s1 = (min(1.0, max(0.0, x / a)) for x in (-d, b - d)) if a > 0 else (0.0, 0.0)
+    ends = [(0.0, t0), (1.0, t1), (s0, 0.0), (s1, 1.0)]
+    s, t = min(ends, key=lambda st: np.linalg.norm(w + st[0] * u - st[1] * v))
+    r = w + s * u - t * v
+    n = np.cross(u, v)
+    nn = n @ n
+    if nn > 1e-20 * a * c and 0.0 <= s + (b * (v @ r) - c * (u @ r)) / nn <= 1.0 \
+            and 0.0 <= t + (a * (v @ r) - b * (u @ r)) / nn <= 1.0:
+        return float(abs(n @ r) / np.sqrt(nn))
+    return float(np.linalg.norm(r))
 
 
 def _triangle_solid_angle(a, b, c):

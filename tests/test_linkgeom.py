@@ -93,6 +93,13 @@ class TestLinkingNumber:
         with pytest.raises(GeometryError):
             linking_number(a, a + np.array([0.0, 0.0, 1e-12]))
 
+    def test_crossing_at_a_small_angle_rejected(self):
+        # the triangle's first edge crosses the square's edge y = 0 at (0.5, 0, 0) at about 1.3e-8 rad, where
+        # every endpoint projection reads above MIN_SEPARATION
+        triangle = np.array([[0.2, -4e-9, 0.0], [0.8, 4e-9, 0.0], [0.5, -0.5, 0.5]])
+        with pytest.raises(GeometryError, match="pass within"):
+            linking_number(square(side=1.0, center=(0.5, 0.5, 0.0)), triangle)
+
     @pytest.mark.parametrize("vertex", [0, 3])
     def test_nan_vertex_rejected(self, vertex):
         # Python's min and max pass over a NaN or return it, depending on where it stands
@@ -378,9 +385,9 @@ def _perpendicular(rng, u):
 
 
 def _near_parallel(rng, u):
-    """A direction at a random small angle to u. _segment_distance switches to its parallel branch near 1e-7 rad,
-    where one rounding picks the branch and the two branches differ by up to the angle times the overlap; the
-    angles stay a decade or more from it."""
+    """A direction at a random small angle to u. Near 1e-10 rad _segment_distance stops stepping to the lines'
+    closest pair, one rounding of |u x v|**2 decides, and the two answers differ by up to the angle times the
+    overlap; the two implementations round alike on these pairs."""
     angle = 10.0 ** rng.choice([rng.uniform(-12.0, -8.5), rng.uniform(-6.0, -2.0)])
     return u + angle * np.linalg.norm(u) * _perpendicular(rng, u)
 
@@ -399,12 +406,10 @@ def _segment_pair(family, rng):
         return p0, p1, p0 + rng.uniform(-0.5, 0.5) * u, p0 + rng.uniform(0.5, 1.5) * u
     v = _near_parallel(rng, u)
     if family == "near-parallel":
-        # a gap well above the tilt: nearly crossing near-parallel segments are ill-conditioned, their computed
-        # distance off by about one rounding over the angle in any implementation
+        # a gap well above the tilt; test_near_parallel_crossing_family covers crossings
         start = p0 + rng.uniform(-0.5, 1.5) * u + rng.uniform(0.05, 0.3) * _perpendicular(rng, u)
         return p0, p1, start, start + rng.uniform(-1.0, 1.0) * v
-    # near-parallel, sharing one of the four endpoint pairs: the endpoint scan, or in the parallel branch the
-    # endpoint projections, give 0 to a rounding, which the clamped closest points miss when the shared point is p1
+    # near-parallel, sharing one of the four endpoint pairs: the endpoint projections give 0 to a rounding
     shared = rng.choice([p0, p1])
     other = shared + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0) * v
     return (p0, p1, *rng.choice([(shared, other), (other, shared)]))
@@ -426,12 +431,41 @@ class TestNumpyOracle:
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_near_parallel_endpoint_touching_the_other_interior(self, swap):
-        # at 4e-8 rad the parallel branch runs; the segments meet at p1 = (1, 0, 0), inside q0-q1
+        # at 4e-8 rad; the segments meet at p1 = (1, 0, 0), inside q0-q1
         p = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         q = ((0.5, 2e-8, 0.0), (1.5, -2e-8, 0.0))
         pair = (*q, *p) if swap else (*p, *q)
         assert _segment_distance(*pair) < 1e-20
         assert segment_distance_np(*pair) < 1e-20
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("height", [0.0, 3e-9])
+    def test_near_parallel_crossing_inside_both(self, swap, height):
+        # at 1e-8 rad the lines' closest pair is at x = 0.5, inside both segments, where every endpoint projection
+        # reads about 5e-9
+        p = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        q = ((0.0, -5e-9, height), (1.0, 5e-9, height))
+        pair = (*q, *p) if swap else (*p, *q)
+        assert abs(_segment_distance(*pair) - height) < 1e-20
+        assert abs(segment_distance_np(*pair) - height) < 1e-20
+
+    def test_near_parallel_crossing_family(self):
+        rng = random.Random("segments-near-parallel-crossing")
+        for _ in range(400):
+            p0, p1 = _box_point(rng), _box_point(rng)
+            u = p1 - p0
+            side = _perpendicular(rng, u)
+            up = np.cross(u, side) / np.linalg.norm(u)
+            # from 10**-9.5 rad, above the 1e-10 where the step stops, to 1e-5
+            tilt = 10.0 ** rng.uniform(-9.5, -5.0) * np.linalg.norm(u) * side
+            v = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0) * (u + tilt)
+            height = rng.uniform(0.0, 2e-9)
+            crossing = p0 + rng.uniform(0.1, 0.9) * u + height * up
+            q0 = crossing - rng.uniform(0.1, 0.9) * v
+            pair = (p0, p1, q0, q0 + v)
+            found = _segment_distance(*(tuple(map(float, pt)) for pt in pair))
+            assert abs(found - segment_distance_np(*pair)) <= 1e-15, pair
+            assert abs(found - height) <= 1e-15, pair
 
     def test_gauss_integral(self):
         rng = random.Random(2025)
