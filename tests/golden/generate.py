@@ -95,6 +95,12 @@ INPUTS = {
     "poly-nan": '{"components": [{"points": [[NaN,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
                 ' "delta": 0.1}',
     "poly-bad-delta": '{"components": [], "delta": -1}',
+    "J-not-rows": '{"J": 5}',
+    "poly-two-points": '{"components": [{"points": [[0,0,0],[1,0,0]], "offsets": [[0,0,1],[0,0,1]]}], "delta": 0.1}',
+    "poly-offsets-shape": '{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1]]}],'
+                          ' "delta": 0.1}',
+    "poly-component-number": '{"components": [5], "delta": 0.1}',
+    "poly-empty": '{"components": [], "delta": 0.1}',
 }
 
 MATRICES = ["hopf", "unknot-p1", "unknot-m1", "lens-5", "three", "zero-2", "empty"]
@@ -140,6 +146,8 @@ def _cases() -> list[dict]:
     # a declared m that is not an integer, though it equals the row count
     for name in ("m-true", "m-float", "m-string"):
         add(["tau-su2k3", "-i", "{input}"], name)
+    add(["tau-su2k3", "-i", "{input}"], "J-not-rows")
+    add(["tau-su2k3", "-i", "{input}"], "poly-empty")
     add(["tau-su2k3", "-i", "{input}", "-o", "{output}"], "hopf")
     add(["tau-su2k3"])
     for k in (2, 3, 4, 5, 9, 13, 25, 1009):
@@ -155,7 +163,8 @@ def _cases() -> list[dict]:
     add(["gauss-sum", "--k", "5", "--a", "x"])
     for name in ["poly-hopf", "poly-hopf-1e200", "poly-hopf-1e-12", "poly-crossing", "poly-crossing-1e200",
                  "poly-split", "poly-twisted-framing", "poly-twisted-ring", "poly-bridge", "poly-bridge-unstable",
-                 "poly-nan", "poly-bad-delta", "hopf", "not-json"]:
+                 "poly-nan", "poly-bad-delta", "hopf", "not-json", "not-object", "poly-two-points",
+                 "poly-offsets-shape", "poly-component-number", "poly-empty"]:
         add(["linking-matrix", "-i", "{input}"], name)
     for invariant, ks in (("su2k3", (None,)), ("abelian", (5, 13, 7, 9)), ("dw", (3, 5, 9, 2, 4, 6, 8, 12))):
         for k in ks:

@@ -112,6 +112,7 @@ class TestFramedLinkMatrix:
             ('{"J": [[0, 1], []]}', "/J/1"),
             ('{"J": [[0.5]]}', "/J/0/0"),
             ('{"m": 1}', "/J"),
+            ('{"J": 5}', "/J: expected a list of rows"),
             ("[1, 2]", "/"),
             ("not json", "/"),
         ],

@@ -341,6 +341,12 @@ class TestPolyLinkJson:
              ' "delta": 0.1}', "/components/0/points"),
             pytest.param('{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1%s],'
                          '[0,0,1]]}], "delta": 0.1}' % ("0" * 400), "/components/0/offsets", id="offset-beyond-float"),
+            ('{"components": [{"points": [[0,0,0],[1,0,0]], "offsets": [[0,0,1],[0,0,1]]}], "delta": 0.1}',
+             "/components/0/points: expected >=3 [x,y,z] triples"),
+            ('{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1]]}], "delta": 0.1}',
+             "/components/0/offsets: shape (2, 3) != points shape (3, 3)"),
+            ('{"components": [5], "delta": 0.1}', "/components/0: expected an object"),
+            ("[1, 2]", "/: expected a JSON object"),
         ],
     )
     def test_schema_errors_name_field(self, payload, pointer):
