@@ -233,56 +233,56 @@ def _z2_gauss_sum(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """S(J) = sum over x in {0,1}^m of i**(x^T J x), exactly, as the Gaussian integer (re, im).
 
     With x_i**2 = x_i, x^T J x = sum J_ii x_i + 2 sum_{i<j} J_ij x_i x_j, which
-    reads only J_ii mod 4 and J_ij mod 2. Summing out one pivot x_p, with a
-    its diagonal residue and L the parity of its odd partners, gives
-    1 + i**a (-1)**L. For odd a that is (1 + i**a) i**(-a L); for even a it is
-    2 where L = a/2 (mod 2) and 0 elsewhere, so one partner x_q becomes the
-    parity of a/2 and the others. Either parity re-enters the Z/4 form
-    through the exact lift c + (1 - 2c) sum y - 2 sum_{s<t} y_s y_t of
-    parity(c + sum y). Each step costs O(m) row updates on bitmask rows:
-    O(m**3) bit operations in all.
+    reads only J_ii mod 4 and J_ij mod 2. As in linkalg's driver, an odd
+    diagonal is the first pivot. Summing out x_p, with a its odd diagonal and L
+    the parity of its odd partners, gives (1 + i**a) i**(-a L); -a L re-enters
+    the form through the exact lift sum y - 2 sum_{s<t} y_s y_t of parity(sum y).
+    With every diagonal even, x_p (diagonal 2a) and an odd partner x_q
+    (diagonal 2b) go together: with L_p and L_q the parities of their other
+    partners, they give 2 (-1)**((a + L_p)(b + L_q)). Each step updates the
+    later rows by O(m) whole-row XORs: O(m**3) bit operations in all. F_2 keeps
+    these bitmask rows: linkalg's list driver has no 2x2 pivot, and it would
+    spend O(m**2) Python-int updates on each pivot.
     """
     m = len(rows)
     diag = [rows[i][i] % 4 for i in range(m)]
-    odd = [sum(1 << j for j, entry in enumerate(row) if entry % 2 and j != i) for i, row in enumerate(rows)]
+    odd = [sum(1 << j for j, entry in enumerate(row) if entry % 2) & ~(1 << i) for i, row in enumerate(rows)]
+    odd_diag = sum(1 << i for i in range(m) if diag[i] % 2)
     live = (1 << m) - 1
     twos = tilts = turn = 0  # S = 2**twos * (1 + i)**tilts * i**turn
+
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
 
     def members(mask: int) -> list[int]:
         return [j for j in range(m) if mask >> j & 1]
 
-    for p in range(m):
-        if not live >> p & 1:
-            continue
+    while live:
+        p = lowest(odd_diag & live or live)
         live ^= 1 << p
-        a, partners = diag[p], odd[p] & live
-        if a % 2:
+        d, partners = diag[p], odd[p] & live
+        if d % 2:
             tilts += 1
-            turn += 3 * (a == 3)  # 1 - i = -i (1 + i)
-            for j in members(partners):  # add -a L = -a sum y + 2a sum_{s<t} y_s y_t, a odd
-                diag[j] = (diag[j] - a) % 4
-                odd[j] ^= partners & ~(1 << j)
+            turn += 3 * (d == 3)  # 1 - i = -i (1 + i)
+            odd_diag ^= partners
+            for j in members(partners):  # add -d L = -d sum y + 2d sum_{s<t} y_s y_t, d odd
+                diag[j] = (diag[j] - d) % 4
+                odd[j] ^= partners ^ (1 << j)
         elif not partners:
-            if a == 2:  # 1 + i**2 = 0
+            if d == 2:  # 1 + i**2 = 0
                 return 0, 0
             twos += 1
         else:
-            twos += 1
-            q = (partners & -partners).bit_length() - 1
+            q = lowest(partners)
             live ^= 1 << q
-            rest, c, dq = partners ^ (1 << q), a // 2, diag[q]
-            # x_q = parity(c + sum_rest y): d_q x_q takes the whole lift, and
-            # each 2 x_q x_j with an odd partner j of q only the parity, 2 x_j (c + sum_rest y)
-            turn += dq * c
-            q_partners = odd[q] & live
-            for j in members(rest | q_partners):
-                if rest >> j & 1:  # y_j's share of the lift, y_j**2 = y_j and the pairs y_j y_t
-                    diag[j] += dq * (1 - 2 * c) + 2 * (q_partners >> j & 1)
-                    odd[j] ^= (q_partners ^ (rest if dq % 2 else 0)) & ~(1 << j)
-                if q_partners >> j & 1:  # 2 c x_j and the pairs x_j y_t
-                    diag[j] += 2 * c
-                    odd[j] ^= rest & ~(1 << j)
-                diag[j] %= 4
+            a, b = d // 2, diag[q] // 2
+            rest_p, rest_q = partners ^ (1 << q), odd[q] & live
+            twos, turn = twos + 1, turn + 2 * a * b
+            # (-1)**(a b + a L_q + b L_p + L_p L_q): 2b on rest_p, 2a on rest_q, 2 y_s y_t for s, t split between them
+            for j in members(rest_p | rest_q):
+                j_p, j_q = rest_p >> j & 1, rest_q >> j & 1
+                diag[j] = (diag[j] + 2 * (b * j_p + a * j_q + j_p * j_q)) % 4
+                odd[j] ^= (rest_q if j_p else 0) ^ (rest_p if j_q else 0)  # never bit j: j_p j_q + j_q j_p
     # (1 + i)**2 = 2i
     twos, turn = twos + tilts // 2, (turn + tilts // 2) % 4
     re, im = (1, tilts % 2)

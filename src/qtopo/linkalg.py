@@ -5,10 +5,10 @@ linking matrix: pairwise linking numbers off the diagonal, framings on it.
 This module provides the elementary moves on such matrices (stabilization
 by a split +-1 unknot and its inverse, handle slides), the exact signature
 and congruence diagonalization modulo an odd prime power. The last two share
-one symmetric-elimination driver (pivot search, slide, swap); only the
-eliminate step depends on the ring: fraction-free Bareiss elimination over
-the integers for the signature, unit-pivot elimination over Z/p**e for the
-diagonalization.
+one symmetric-elimination driver (pivot search, slide, swap) and one step, a
+Schur update: each later row r becomes row r - c_r * pivot row on and above
+the diagonal, mirrored below. Only c_r and the arithmetic depend on the ring:
+fraction-free Bareiss over the integers, unit pivots over Z/p**e.
 
 Matrices are immutable and all functions pure; thread-safe throughout.
 """
@@ -125,10 +125,6 @@ def handle_slide(link: FramedLinkMatrix, i: int, j: int, sign: int) -> FramedLin
     return FramedLinkMatrix.from_rows(rows)
 
 
-def _identity(m: int) -> list[list[int]]:
-    return [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-
-
 def _reduce_symmetric(
     a: list[list[int]],
     u: list[list[int]],
@@ -144,10 +140,13 @@ def _reduce_symmetric(
     off-diagonal at (i, j), one slide (column/row i += column/row j) moves it
     onto the diagonal as a[i][i] + 2*a[i][j] + a[j][j], where the cross term
     dominates because both diagonal entries have strictly larger valuation
-    and 2 is a unit. The pivot is swapped to t, then eliminate(t, v) clears
-    its row and column. Slides and swaps act on the columns of u as well.
-    A diagonal unit (valuation 0, the least there is; cap >= 1) is the first
-    pivot the full scan would take, so the block is scanned only without one.
+    and 2 is a unit. The pivot is swapped to t, then eliminate(t, v) updates
+    the block after it. Contract: the driver reads only the active block and
+    no step reads a row or column before its pivot, so none is cleared and
+    entries outside the block go stale. Slides and swaps act on the columns
+    of u as well. A diagonal unit (valuation 0, the least there is; cap >= 1)
+    is the first pivot the full scan would take, so the block is scanned only
+    without one.
     """
     m = len(a)
     swaps = 0
@@ -207,7 +206,7 @@ def signature(link: FramedLinkMatrix) -> int:
                 row[c] = a[c][r] = (p * row[c] - f * pivot_row[c]) // prev
         prev = p
 
-    _reduce_symmetric(a, _identity(m), lambda x: 0 if x else 1, 1, bareiss)
+    _reduce_symmetric(a, [], lambda x: 0 if x else 1, 1, bareiss)
     return sig
 
 
@@ -227,21 +226,18 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
     m = link.m
     k, p, e = ring.k, ring.p, ring.e
     a = [[x % k for x in row] for row in link.J]
-    u = _identity(m)
+    u = [[int(r == c) for c in range(m)] for r in range(m)]
 
     def eliminate(t: int, vmin: int) -> None:
         # a slide may leave entries at or above k; every result below depends only on residues mod k
-        unit = a[t][t] // p**vmin
-        inv = pow(unit, -1, p ** (e - vmin))
+        pivot_row, inv = a[t], pow(a[t][t] // p**vmin, -1, p ** (e - vmin))
         for r in range(t + 1, m):
-            x = a[r][t]
+            row, x = a[r], pivot_row[r]
             if x == 0:
                 continue
             c = (x // p**vmin) * inv % p ** (e - vmin)
-            for s in range(m):
-                a[r][s] = (a[r][s] - c * a[t][s]) % k
-            for s in range(m):
-                a[s][r] = (a[s][r] - c * a[s][t]) % k
+            for s in range(r, m):
+                row[s] = a[s][r] = (row[s] - c * pivot_row[s]) % k
             for s in range(m):
                 u[s][r] -= c * u[s][t]
 

@@ -398,3 +398,72 @@ class TestPivotShortcut:
     def test_signature(self, monkeypatch):
         # p = 0: half the matrices have a zero diagonal
         self._check(monkeypatch, self._matrices(7, 0), signature, lambda x: x != 0)
+
+
+def _three_pass_diagonalize(link, ring):
+    """diagonalize_mod_k with its earlier eliminate step: a full-row, a full-column and a U pass for each row."""
+    m, k, p, e = link.m, ring.k, ring.p, ring.e
+    a = [[x % k for x in row] for row in link.J]
+    u = [[int(r == c) for c in range(m)] for r in range(m)]
+
+    def eliminate(t, vmin):
+        inv = pow(a[t][t] // p**vmin, -1, p ** (e - vmin))
+        for r in range(t + 1, m):
+            x = a[r][t]
+            if x == 0:
+                continue
+            c = (x // p**vmin) * inv % p ** (e - vmin)
+            for s in range(m):
+                a[r][s] = (a[r][s] - c * a[t][s]) % k
+            for s in range(m):
+                a[s][r] = (a[s][r] - c * a[s][t]) % k
+            for s in range(m):
+                u[s][r] -= c * u[s][t]
+
+    if linkalg._reduce_symmetric(a, u, ring.valuation, e, eliminate) % 2:
+        for row in u:
+            row[m - 1] = -row[m - 1]
+    return tuple(tuple(row) for row in u), tuple(a[i][i] % k for i in range(m))
+
+
+class TestSchurStep:
+    """diagonalize_mod_k's upper-triangle step takes the same pivots and gives the same d and U as the three-pass step."""
+
+    @staticmethod
+    def _run(monkeypatch, compute):
+        """compute()'s result and its pivots (step, valuation, pivot entry)."""
+        pivots = []
+
+        def recording(a, u, valuation, cap, eliminate):
+            def step(t, v):
+                pivots.append((t, v, a[t][t]))
+                eliminate(t, v)
+
+            return _SHORTCUT_DRIVER(a, u, valuation, cap, step)
+
+        monkeypatch.setattr(linkalg, "_reduce_symmetric", recording)
+        return compute(), pivots
+
+    def _check(self, monkeypatch, k, sizes, seed):
+        ring = ModK.from_modulus(k)
+        rng = random.Random(seed)
+        scanned = 0
+        for n, m in enumerate(sizes):
+            rows = [list(row) for row in random_symmetric(rng, m, -3 * k, 3 * k).J]
+            if n % 3:  # no diagonal unit: the first pivot comes from a scan, and often a slide
+                for i in range(m):
+                    rows[i][i] = ring.p * rng.randint(-4, 4)
+            if n % 3 == 2:  # every entry divisible by p: pivots of valuation 1 where e > 1
+                rows = [[ring.p * x for x in row] for row in rows]
+            link = FramedLinkMatrix.from_rows(rows)
+            result, pivots = self._run(monkeypatch, lambda: diagonalize_mod_k(link, ring))
+            assert ((result.U, result.d), pivots) == self._run(monkeypatch, lambda: _three_pass_diagonalize(link, ring))
+            scanned += n % 3 == 1 and bool(pivots)
+        assert scanned
+
+    @pytest.mark.parametrize("k", [3, 9, 25, 27, 125, 1000003])
+    def test_small_matrices(self, monkeypatch, k):
+        self._check(monkeypatch, k, [m for m in range(1, 9) for _ in range(4)], seed=k)
+
+    def test_m40(self, monkeypatch):
+        self._check(monkeypatch, 1000003, [40, 40], seed=40)
