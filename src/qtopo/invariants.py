@@ -251,14 +251,12 @@ def _z2_gauss_sum(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     live = (1 << m) - 1
     twos = tilts = turn = 0  # S = 2**twos * (1 + i)**tilts * i**turn
 
-    def lowest(mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
-
     def members(mask: int) -> list[int]:
         return [j for j in range(m) if mask >> j & 1]
 
     while live:
-        p = lowest(odd_diag & live or live)
+        pick = odd_diag & live or live
+        p = (pick & -pick).bit_length() - 1
         live ^= 1 << p
         d, partners = diag[p], odd[p] & live
         if d % 2:
@@ -273,7 +271,7 @@ def _z2_gauss_sum(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
                 return 0, 0
             twos += 1
         else:
-            q = lowest(partners)
+            q = (partners & -partners).bit_length() - 1
             live ^= 1 << q
             a, b = d // 2, diag[q] // 2
             rest_p, rest_q = partners ^ (1 << q), odd[q] & live

@@ -431,18 +431,7 @@ class TestSchurStep:
 
     @staticmethod
     def _run(monkeypatch, compute):
-        """compute()'s result and its pivots (step, valuation, pivot entry)."""
-        pivots = []
-
-        def recording(a, u, valuation, cap, eliminate):
-            def step(t, v):
-                pivots.append((t, v, a[t][t]))
-                eliminate(t, v)
-
-            return _SHORTCUT_DRIVER(a, u, valuation, cap, step)
-
-        monkeypatch.setattr(linkalg, "_reduce_symmetric", recording)
-        return compute(), pivots
+        return TestPivotShortcut._run(monkeypatch, _SHORTCUT_DRIVER, compute)
 
     def _check(self, monkeypatch, k, sizes, seed):
         ring = ModK.from_modulus(k)
