@@ -233,16 +233,17 @@ def _z2_gauss_sum(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """S(J) = sum over x in {0,1}^m of i**(x^T J x), exactly, as the Gaussian integer (re, im).
 
     With x_i**2 = x_i, x^T J x = sum J_ii x_i + 2 sum_{i<j} J_ij x_i x_j, which
-    reads only J_ii mod 4 and J_ij mod 2. As in linkalg's driver, an odd
-    diagonal is the first pivot. Summing out x_p, with a its odd diagonal and L
-    the parity of its odd partners, gives (1 + i**a) i**(-a L); -a L re-enters
-    the form through the exact lift sum y - 2 sum_{s<t} y_s y_t of parity(sum y).
+    reads only J_ii mod 4 and J_ij mod 2. As in linkalg._reduce_symmetric, an
+    odd diagonal is the first pivot. Summing out x_p, with a its odd diagonal
+    and L the parity of its odd partners, gives (1 + i**a) i**(-a L); -a L
+    re-enters the form through the exact lift sum y - 2 sum_{s<t} y_s y_t of
+    parity(sum y).
     With every diagonal even, x_p (diagonal 2a) and an odd partner x_q
     (diagonal 2b) go together: with L_p and L_q the parities of their other
     partners, they give 2 (-1)**((a + L_p)(b + L_q)). Each step updates the
     later rows by O(m) whole-row XORs: O(m**3) bit operations in all. F_2 keeps
-    these bitmask rows: linkalg's list driver has no 2x2 pivot, and it would
-    spend O(m**2) Python-int updates on each pivot.
+    these bitmask rows: _reduce_symmetric works on lists and has no 2x2 pivot,
+    and it would spend O(m**2) Python-int updates on each pivot.
     """
     m = len(rows)
     diag = [rows[i][i] % 4 for i in range(m)]

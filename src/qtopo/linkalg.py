@@ -5,10 +5,10 @@ linking matrix: pairwise linking numbers off the diagonal, framings on it.
 This module provides the elementary moves on such matrices (stabilization
 by a split +-1 unknot and its inverse, handle slides), the exact signature
 and congruence diagonalization modulo an odd prime power. The last two share
-one symmetric-elimination driver (pivot search, slide, swap) and one step, a
-Schur update: each later row r becomes row r - c_r * pivot row on and above
-the diagonal, mirrored below. Only c_r and the arithmetic depend on the ring:
-fraction-free Bareiss over the integers, unit pivots over Z/p**e.
+_reduce_symmetric (pivot search, slide, swap) and one step, a Schur update:
+each later row r becomes row r - c_r * pivot row on and above the diagonal,
+mirrored below. Only c_r and the arithmetic depend on the ring: fraction-free
+Bareiss over the integers, unit pivots over Z/p**e.
 
 Matrices are immutable and all functions pure; thread-safe throughout.
 """
@@ -141,7 +141,7 @@ def _reduce_symmetric(
     onto the diagonal as a[i][i] + 2*a[i][j] + a[j][j], where the cross term
     dominates because both diagonal entries have strictly larger valuation
     and 2 is a unit. The pivot is swapped to t, then eliminate(t, v) updates
-    the block after it. Contract: the driver reads only the active block and
+    the block after it. Contract: this loop reads only the active block and
     no step reads a row or column before its pivot, so none is cleared and
     entries outside the block go stale. Slides and swaps act on the columns
     of u as well. A diagonal unit (valuation 0, the least there is; cap >= 1)
