@@ -1,15 +1,3 @@
 """Quantum topological invariants of 3-manifolds via quadratic Gauss sums."""
 
-from .linkalg import DiagonalizationResult, FramedLinkMatrix
-from .linkgeom import PolyLink
-from .numtheory import Character, ModK
-
-__all__ = [
-    "Character",
-    "DiagonalizationResult",
-    "FramedLinkMatrix",
-    "ModK",
-    "PolyLink",
-]
-
 __version__ = "0.1.0"

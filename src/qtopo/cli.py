@@ -8,7 +8,8 @@ and guard errors to exits 3 and 4.
 Invalid configuration includes a negative simulate --seed, a simulate --eps
 beyond the int64 shot range (below about 1.8e-9), a check --moves above
 10**3, every --k below 2 or from 3.3e24 on, where primality is not proven,
-and an -o file that cannot be written. Each command runs the library check
+an --a not coprime to k (gauss-sum --method closed and simulate, through
+numtheory.require_coprime), and an -o file that cannot be written. Each command runs the library check
 its options need (_checked) before it reads the input, so exit 2 wins over
 exit 3. Each --k is a numtheory.ModK, and each command states what it needs
 of it: check --invariant dw takes every k that tau-dw takes, and check
@@ -36,7 +37,7 @@ from . import invariants, linkgeom, qsim
 from .errors import GeometryError, GuardExceeded, SchemaError, decode_json
 from .linkalg import FramedLinkMatrix
 from .linkgeom import PolyLink
-from .numtheory import ModK, gauss_sum_brute, gauss_sum_closed, require_odd_prime
+from .numtheory import ModK, gauss_sum_brute, gauss_sum_closed, require_coprime, require_odd_prime
 
 EXIT_CONFIG = 2
 EXIT_SCHEMA = 3
@@ -79,10 +80,10 @@ def _emit(payload: dict, output_path: Path | None) -> None:
     click.echo(text)
 
 
-def _checked(option: str, check, value):
-    """check(value), a library check on an option's value; its ValueError becomes exit 2 naming the option."""
+def _checked(option: str, check, *args):
+    """check(*args), a library check on an option's value; its ValueError becomes exit 2 naming the option."""
     try:
-        return check(value)
+        return check(*args)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=f"'{option}'")
 
@@ -168,8 +169,7 @@ def gauss_sum_cmd(k: int, a: int, method: str, output_path: Path | None) -> None
         value = gauss_sum_brute(k, a)
     else:
         _checked("--k", require_odd_prime, k)
-        if a % k == 0:
-            raise click.BadParameter(f"{a} is not coprime to k={k}", param_hint="'--a'")
+        _checked("--a", require_coprime, a, k)
         value = gauss_sum_closed(k, a)
     _emit({"k": k, "a": a, "method": method, "re": value.real, "im": value.imag}, output_path)
 
@@ -249,8 +249,7 @@ def simulate_cmd(k: int, a: int, epsilon: float, seed: int, output_path: Path | 
     """Estimate the Gauss-sum phase by simulated interferometric sampling."""
     _checked("--k", require_odd_prime, k)
     _checked("--eps", qsim.sample_schedule, epsilon)
-    if a % k == 0:
-        raise click.BadParameter(f"{a} is not coprime to k={k}", param_hint="'--a'")
+    _checked("--a", require_coprime, a, k)
     _emit(qsim.estimate_report(k, a, epsilon, seed=seed), output_path)
 
 

@@ -45,7 +45,8 @@ class FramedLinkMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "FramedLinkMatrix":
-        return cls(J=tuple(tuple(int(x) for x in row) for row in rows))
+        """The one constructor: rows go to the validator as they are, so a float, string or bool entry is rejected."""
+        return cls(J=tuple(tuple(row) for row in rows))
 
     @property
     def m(self) -> int:
@@ -66,7 +67,7 @@ class FramedLinkMatrix:
                 raise SchemaError("/m: expected an integer")
             if data["m"] != len(rows):
                 raise SchemaError(f"/m: declared {data['m']} but J has {len(rows)} rows")
-        return cls(J=tuple(tuple(row) for row in rows))
+        return cls.from_rows(rows)
 
     @classmethod
     def from_json(cls, text: str) -> "FramedLinkMatrix":

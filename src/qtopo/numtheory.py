@@ -52,6 +52,12 @@ def require_odd_prime(k: int) -> None:
         raise ValueError(f"{k} is not an odd prime")
 
 
+def require_coprime(a: int, k: int) -> None:
+    """Raise ValueError unless gcd(a, k) = 1, where the Fourier transform with multiplier a is unitary."""
+    if math.gcd(a, k) != 1:
+        raise ValueError(f"{a} is not coprime to k={k}")
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division (desk-scale n)."""
     out = []
@@ -218,7 +224,6 @@ def gauss_sum_closed(k: int, a: int) -> complex:
     convention of gauss_sum_brute. Requires gcd(a, k) = 1.
     """
     require_odd_prime(k)
-    if math.gcd(a, k) != 1:
-        raise ValueError(f"a={a} is not coprime to k={k}")
+    require_coprime(a, k)
     eps_conj = 1.0 + 0.0j if k % 4 == 1 else -1.0j
     return legendre_chi(a, k) * eps_conj * math.sqrt(k)

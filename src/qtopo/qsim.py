@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .numtheory import Character, gauss_sum_brute, primitive_root, require_odd_prime
+from .numtheory import Character, gauss_sum_brute, primitive_root, require_coprime, require_odd_prime
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,8 +91,7 @@ def qft_matrix(k: int, a: int = 1) -> np.ndarray:
     """
     import numpy as np
 
-    if math.gcd(a, k) != 1:
-        raise ValueError(f"parameter a={a} is not coprime to k={k}")
+    require_coprime(a, k)
     grid = np.outer(np.arange(k), np.arange(k) * (a % k)) % k
     return np.exp(-2.0j * math.pi * grid / k) / math.sqrt(k)
 
@@ -168,8 +167,7 @@ def gauss_phase_encode(state: np.ndarray, a: int) -> np.ndarray:
     if state.ndim != 1:
         raise ValueError("expected a single-register character state")
     k = len(state)
-    if math.gcd(a, k) != 1:
-        raise ValueError(f"a={a} is not coprime to k={k}")
+    require_coprime(a, k)
     reference = legendre_amplitudes(k)
     if abs(np.vdot(reference, state)) < 1.0 - 1e-10:
         raise ValueError("input state is not the Legendre character state")

@@ -4,9 +4,11 @@ A function, class or method counts as called when some other line of
 src/qtopo/ or bench/ names it: as a name, an attribute, an import, or a part
 of a dotted path in the tracer's TARGETS. Dunders and the CLI commands,
 which click calls, are exempt. The definitions that only TARGETS names are a
-fixed list, so one that loses its last library caller shows. A last scan
-checks that invariants.charge is the one place that raises a term-count
-GuardExceeded.
+fixed list, so one that loses its last library caller shows. The last scans
+check that each check has one home: invariants.charge is the one place that
+raises a term-count GuardExceeded, numtheory.require_coprime the one gcd,
+FramedLinkMatrix.from_rows the one matrix construction, and cli._checked
+the one click.BadParameter outside check's two option-combination rules.
 """
 
 import ast
@@ -83,20 +85,44 @@ def test_tracer_only_definitions_are_the_known_list():
     assert set(_uncalled(count_traced=False)) - set(_uncalled(count_traced=True)) == TRACER_ONLY
 
 
-def _guard_errors_built(node: ast.AST, where: str | None = None):
-    """(innermost enclosing function, literal text of the message) for each GuardExceeded(...) under node."""
+def _calls(node: ast.AST, callee: str, where: str | None = None):
+    """(innermost enclosing function, call) for each call under node whose callee is named callee."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and "GuardExceeded" in (getattr(child.func, "id", None),
-                                                               getattr(child.func, "attr", None)):
-            yield where, "".join(const.value for const in ast.walk(child)
-                                 if isinstance(const, ast.Constant) and isinstance(const.value, str))
+        if isinstance(child, ast.Call) and callee in (getattr(child.func, "id", None),
+                                                      getattr(child.func, "attr", None)):
+            yield where, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-        yield from _guard_errors_built(child, inner)
+        yield from _calls(child, callee, inner)
+
+
+def _library_calls(callee: str) -> list:
+    return [found for path in LIBRARY for found in _calls(ast.parse(path.read_text(), str(path)), callee)]
 
 
 def test_only_charge_builds_a_term_count_guard_error():
     # every path states its term count through invariants.charge; the other guard errors are size checks on a
     # value or a modulus, and none of them counts terms
-    built = [found for path in LIBRARY for found in _guard_errors_built(ast.parse(path.read_text(), str(path)))]
+    built = [(where, "".join(const.value for const in ast.walk(call)
+                             if isinstance(const, ast.Constant) and isinstance(const.value, str)))
+             for where, call in _library_calls("GuardExceeded")]
     assert [where for where, text in built if "terms" in text] == ["charge"]
     assert all("float range" in text or "int64" in text for where, text in built if where != "charge")
+
+
+def test_only_require_coprime_takes_a_gcd():
+    # gauss_sum_closed, qft_matrix, gauss_phase_encode and the CLI's --a all check a through it
+    assert [where for where, _ in _library_calls("gcd")] == ["require_coprime"]
+
+
+def test_only_from_rows_constructs_a_matrix():
+    # from_json_dict and every move build through it, so each entry reaches the validator unconverted
+    tree = ast.parse((ROOT / "src" / "qtopo" / "linkalg.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "FramedLinkMatrix")
+    built = _library_calls("FramedLinkMatrix") + list(_calls(cls, "cls"))
+    assert [where for where, _ in built] == ["from_rows"]
+
+
+def test_only_checked_and_check_options_raise_bad_parameter():
+    # every other option is checked by a library check under _checked, or by click's IntRange
+    raised = [where for where, _ in _library_calls("BadParameter")]
+    assert raised == ["_checked", "check_cmd", "check_cmd"]

@@ -91,6 +91,12 @@ class TestFramedLinkMatrix:
         with pytest.raises(ValueError):
             FramedLinkMatrix(J=((0.5,),))
 
+    @pytest.mark.parametrize("rows,pointer", [([[1.7]], "/J/0/0"), ([["3"]], "/J/0/0"), ([[True]], "/J/0/0"),
+                                              ([[0, 2.0], [2.0, 0]], "/J/0/1")])
+    def test_from_rows_passes_entries_to_the_validator_unconverted(self, rows, pointer):
+        with pytest.raises(SchemaError, match=f"^{pointer}: not an integer$"):
+            FramedLinkMatrix.from_rows(rows)
+
     def test_empty_link(self):
         link = FramedLinkMatrix.from_rows([])
         assert link.m == 0
@@ -111,6 +117,8 @@ class TestFramedLinkMatrix:
             ('{"J": [[0, 1]]}', "/J/0"),
             ('{"J": [[0, 1], []]}', "/J/1"),
             ('{"J": [[0.5]]}', "/J/0/0"),
+            ('{"J": [["3"]]}', "/J/0/0: not an integer"),
+            ('{"J": [[true]]}', "/J/0/0: not an integer"),
             ('{"m": 1}', "/J"),
             ('{"J": 5}', "/J: expected a list of rows"),
             ("[1, 2]", "/"),

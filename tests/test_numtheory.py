@@ -15,6 +15,7 @@ from qtopo.numtheory import (
     is_prime,
     legendre_chi,
     primitive_root,
+    require_coprime,
 )
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_prime(p)]
@@ -158,8 +159,19 @@ class TestGaussSumClosed:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             gauss_sum_closed(9, 1)  # prime power, not prime
-        with pytest.raises(ValueError):
-            gauss_sum_closed(5, 10)  # not coprime
+        with pytest.raises(ValueError, match="^10 is not coprime to k=5$"):
+            gauss_sum_closed(5, 10)
+
+
+class TestRequireCoprime:
+    @pytest.mark.parametrize("a,k", [(1, 5), (-3, 10), (7, 1024), (12, 35)])
+    def test_accepts_coprime(self, a, k):
+        require_coprime(a, k)
+
+    @pytest.mark.parametrize("a,k", [(0, 5), (10, 5), (-4, 6), (6, 4), (21, 35)])
+    def test_rejects_with_the_cli_message(self, a, k):
+        with pytest.raises(ValueError, match=f"^{a} is not coprime to k={k}$"):
+            require_coprime(a, k)
 
 
 class TestModK:

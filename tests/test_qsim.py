@@ -99,7 +99,7 @@ class TestQft:
         assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
 
     def test_scaled_matrix_requires_coprime_parameter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^2 is not coprime to k=6$"):
             qft_matrix(6, 2)
 
     def test_register_out_of_range(self):
@@ -200,7 +200,7 @@ class TestGaussPhaseEncode:
             assert np.abs(gauss_phase_encode(chi, a) - dense.amps).max() < 1e-12
 
     def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^10 is not coprime to k=5$"):
             gauss_phase_encode(prepare_legendre_state(5), 10)
 
     def test_rejects_non_character_state(self):
@@ -284,7 +284,7 @@ class TestPhaseEstimate:
             phase_estimate(5, 2, 0.0)
 
     def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^5 is not coprime to k=5$"):
             phase_estimate(5, 5, 0.05)
 
     def test_true_phase_from_brute_force(self):
