@@ -492,7 +492,8 @@ def check_kirby_invariance(
     ring with k = 1 mod 4 for the law to hold): the phase is asserted equal
     and the modulus asserted to rescale by sqrt(k) per net blow-up. dw: only
     handle slides are asserted (for the full summation range); blow-up
-    behavior is recorded in the notes, not asserted.
+    behavior is recorded in the notes, not asserted. range_convention must be
+    a SumRange word, and "full" for abelian and su2k3 (else ValueError).
 
     moves is a script or a count n of at most MAX_RANDOM_MOVES
     (require_random_moves). A random script draws each move from
@@ -507,6 +508,8 @@ def check_kirby_invariance(
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
+    if SumRange(range_convention) is not SumRange.ZERO_TO_KM1 and invariant != "dw":
+        raise ValueError(f"{invariant} sums the whole group; range_convention 'paper' is for dw only")
     evaluate, law, level, box_width = _KIRBY_LAWS[invariant]
     if level is None and ring is None:
         raise ValueError(f"{invariant} invariance check requires a ring")

@@ -5,10 +5,11 @@ linking matrix: pairwise linking numbers off the diagonal, framings on it.
 This module provides the elementary moves on such matrices (stabilization
 by a split +-1 unknot and its inverse, handle slides), the exact signature
 and congruence diagonalization modulo an odd prime power. The last two share
-_reduce_symmetric (pivot search, slide, swap) and one step, a Schur update:
-each later row r becomes row r - c_r * pivot row on and above the diagonal,
-mirrored below. Only c_r and the arithmetic depend on the ring: fraction-free
-Bareiss over the integers, unit pivots over Z/p**e.
+_reduce_symmetric (pivot search, slide, swap, det U = +1 on the rows of U
+under J) and one step, a Schur update: each later row r becomes row r -
+c_r * pivot row on and above the diagonal, mirrored below. Only c_r and the
+arithmetic depend on the ring: fraction-free Bareiss over the integers, unit
+pivots over Z/p**e.
 
 Matrices are immutable and all functions pure; thread-safe throughout.
 """
@@ -128,29 +129,30 @@ def handle_slide(link: FramedLinkMatrix, i: int, j: int, sign: int) -> FramedLin
 
 def _reduce_symmetric(
     a: list[list[int]],
-    u: list[list[int]],
     valuation: Callable[[int], int],
     cap: int,
     eliminate: Callable[[int, int], None],
-) -> int:
-    """Symmetric elimination driver shared by every ring; returns the swap count.
+) -> None:
+    """Symmetric elimination driver shared by every ring, on the tableau [J; U].
 
-    At step t the pivot is an entry of minimal valuation v in the active
-    block a[t:, t:]; the loop stops once v reaches cap (the block vanishes).
-    Diagonal pivots are preferred; when every minimal-valuation entry is
-    off-diagonal at (i, j), one slide (column/row i += column/row j) moves it
-    onto the diagonal as a[i][i] + 2*a[i][j] + a[j][j], where the cross term
-    dominates because both diagonal entries have strictly larger valuation
-    and 2 is a unit. The pivot is swapped to t, then eliminate(t, v) updates
-    the block after it. Contract: this loop reads only the active block and
-    no step reads a row or column before its pivot, so none is cleared and
-    entries outside the block go stale. Slides and swaps act on the columns
-    of u as well. A diagonal unit (valuation 0, the least there is; cap >= 1)
-    is the first pivot the full scan would take, so the block is scanned only
-    without one.
+    The first m = len(a[0]) rows of a are J; any rows below are the rows of U,
+    which take every column operation. At step t the pivot is an entry of
+    minimal valuation v in the active block a[t:m, t:]; the loop stops once v
+    reaches cap (the block vanishes). Diagonal pivots are preferred; when
+    every minimal-valuation entry is off-diagonal at (i, j), one slide
+    (column/row i += column/row j) moves it onto the diagonal as
+    a[i][i] + 2*a[i][j] + a[j][j], where the cross term dominates because both
+    diagonal entries have strictly larger valuation and 2 is a unit. The pivot
+    is swapped to t, then eliminate(t, v) updates the block after it.
+    Contract: this loop reads only the active block and no step reads a row or
+    column before its pivot, so none is cleared and entries outside the block
+    go stale. Each swap negates det U, so after an odd number the last column
+    of U is negated: det U = +1, and diag(U^T J U) is unchanged. A diagonal
+    unit (valuation 0, the least there is; cap >= 1) is the first pivot the
+    full scan would take, so the block is scanned only without one.
     """
-    m = len(a)
-    swaps = 0
+    m = len(a[0]) if a else 0
+    odd = False
     for t in range(m):
         vmin = 0
         diag = next((i for i in range(t, m) if valuation(a[i][i]) == 0), None)
@@ -170,17 +172,16 @@ def _reduce_symmetric(
                 row[i] += row[j]
             for c in range(m):
                 a[i][c] += a[j][c]
-            for row in u:
-                row[i] += row[j]
             diag = i
         if diag != t:
             a[diag], a[t] = a[t], a[diag]
-            for rows in (a, u):
-                for row in rows:
-                    row[diag], row[t] = row[t], row[diag]
-            swaps += 1
+            for row in a:
+                row[diag], row[t] = row[t], row[diag]
+            odd = not odd
         eliminate(t, vmin)
-    return swaps
+    if odd:
+        for row in a[m:]:
+            row[m - 1] = -row[m - 1]
 
 
 def signature(link: FramedLinkMatrix) -> int:
@@ -207,7 +208,7 @@ def signature(link: FramedLinkMatrix) -> int:
                 row[c] = a[c][r] = (p * row[c] - f * pivot_row[c]) // prev
         prev = p
 
-    _reduce_symmetric(a, [], lambda x: 0 if x else 1, 1, bareiss)
+    _reduce_symmetric(a, lambda x: 0 if x else 1, 1, bareiss)
     return sig
 
 
@@ -215,10 +216,8 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
     """Diagonalize J by a unimodular congruence modulo k = p**e, p an odd prime (else ValueError).
 
     Symmetric elimination over Z/p**e with pivots of minimal p-adic
-    valuation; each pivot clears its row and column using the inverse of its
-    unit part. Slides and eliminations keep det(U) and each swap negates it,
-    so an odd swap count is undone by negating the last column of U, which
-    leaves diag(d) as it is.
+    valuation on the tableau [J mod k; I]; each pivot clears its row and
+    column using the inverse of its unit part, and the rows under J become U.
 
     Returns an exact integer U with det(U) = +1 and the diagonal residues d;
     U^T J U = diag(d) holds entrywise modulo k.
@@ -226,8 +225,8 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
     ring.require_odd_prime_power()
     m = link.m
     k, p, e = ring.k, ring.p, ring.e
-    a = [[x % k for x in row] for row in link.J]
-    u = [[int(r == c) for c in range(m)] for r in range(m)]
+    a = [[x % k for x in row] for row in link.J] + [[int(r == c) for c in range(m)] for r in range(m)]
+    u = a[m:]  # the driver swaps only J's rows, so these stay the rows of U
 
     def eliminate(t: int, vmin: int) -> None:
         # a slide may leave entries at or above k; every result below depends only on residues mod k
@@ -239,12 +238,8 @@ def diagonalize_mod_k(link: FramedLinkMatrix, ring: ModK) -> DiagonalizationResu
             c = (x // p**vmin) * inv % p ** (e - vmin)
             for s in range(r, m):
                 row[s] = a[s][r] = (row[s] - c * pivot_row[s]) % k
-            for s in range(m):
-                u[s][r] -= c * u[s][t]
+            for urow in u:
+                urow[r] -= c * urow[t]
 
-    if _reduce_symmetric(a, u, ring.valuation, e, eliminate) % 2:
-        for row in u:
-            row[m - 1] = -row[m - 1]
-
-    d = tuple(a[i][i] % k for i in range(m))
-    return DiagonalizationResult(U=tuple(tuple(row) for row in u), d=d)
+    _reduce_symmetric(a, ring.valuation, e, eliminate)
+    return DiagonalizationResult(U=tuple(tuple(row) for row in u), d=tuple(a[i][i] % k for i in range(m)))

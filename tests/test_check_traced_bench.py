@@ -1,0 +1,67 @@
+"""The CI check of a traced bench run, .github/scripts/check_traced_bench.py, run as CI runs it."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / ".github" / "scripts" / "check_traced_bench.py"
+_spec = importlib.util.spec_from_file_location("check_traced_bench", SCRIPT)
+check_traced_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_traced_bench)
+
+
+def expected_keys():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["per_layer"]]
+
+
+def passing_result():
+    return {"correct": True, "failed": 0, "metrics": {key: {"value": 1} for key in expected_keys()}}
+
+
+def run(tmp_path, result):
+    """The script's exit code, stdout and stderr on a trace whose last line is the given result."""
+    trace = tmp_path / "bench-trace.txt"
+    trace.write_text("workload table\n" + json.dumps(result) + "\n")
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(trace)], cwd=ROOT, capture_output=True, text=True,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_passing_line(tmp_path):
+    reached = len(check_traced_bench.REACHED)
+    assert run(tmp_path, passing_result()) == (
+        0, f"all {len(expected_keys())} per-layer metrics present; {reached} reached targets called\n", "")
+
+
+def test_incorrect_run(tmp_path):
+    result = passing_result()
+    result["correct"] = False
+    assert run(tmp_path, result) == (1, "", "traced run gave correct=False and failed=0\n")
+
+
+def test_missing_per_layer_key(tmp_path):
+    result = passing_result()
+    key = expected_keys()[-1]
+    del result["metrics"][key]
+    assert run(tmp_path, result) == (1, "", f"traced run lacks 1 per-layer metrics: [{key!r}]\n")
+
+
+@pytest.mark.parametrize("target", check_traced_bench.REACHED)
+def test_required_target_at_zero(tmp_path, target):
+    result = passing_result()
+    result["metrics"][target]["value"] = 0
+    assert run(tmp_path, result) == (1, "", f"traced run never called [{target!r}]\n")
+
+
+def test_nan_token(tmp_path):
+    result = passing_result()
+    result["metrics"][expected_keys()[0]]["value"] = float("nan")
+    code, out, err = run(tmp_path, result)
+    assert (code, out) == (1, "")
+    assert err.rstrip().endswith("ValueError: NaN in the result line is not strict JSON")

@@ -430,6 +430,18 @@ class TestKirbyChecks:
         )
         assert all(not c.asserted for c in report.checks)
 
+    @pytest.mark.parametrize("invariant,k,word,message", [
+        ("abelian", 5, "paper", "^abelian sums the whole group; range_convention 'paper' is for dw only$"),
+        ("su2k3", None, "paper", "^su2k3 sums the whole group; range_convention 'paper' is for dw only$"),
+        ("abelian", 5, "bogus", "'bogus' is not a valid SumRange"),
+        ("su2k3", None, "bogus", "'bogus' is not a valid SumRange"),
+        ("dw", 5, "bogus", "'bogus' is not a valid SumRange"),
+    ])
+    def test_range_the_invariant_cannot_honour_is_rejected(self, invariant, k, word, message):
+        ring = None if k is None else ModK.from_modulus(k)
+        with pytest.raises(ValueError, match=message):
+            check_kirby_invariance(FramedLinkMatrix.from_rows([[1]]), invariant, [], ring=ring, range_convention=word)
+
     def test_script_generation_deterministic(self):
         link = FramedLinkMatrix.from_rows([[1, 2], [2, 0]])
         ring = ModK.from_modulus(5)

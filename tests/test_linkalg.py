@@ -326,10 +326,42 @@ class TestDiagonalizeModK:
             assert det_int(diagonalize_mod_k(link, ring).U) == 1
 
 
-def _full_scan_driver(a, u, valuation, cap, eliminate):
+# (J, k, U, d) recorded from the driver that threaded U as a second matrix: any change to U or d fails here
+PINNED = [
+    ([], 5, (), ()),  # m = 0
+    ([[6]], 9, ((1,),), (6,)),  # m = 1, a pivot of valuation 1
+    ([[14]], 7, ((1,),), (0,)),  # m = 1, a vanishing block
+    ([[0, 1], [1, 0]], 5, ((1, -3), (1, -2)), (2, 2)),  # a slide, no swap
+    # a slide, one swap, then a vanishing block
+    ([[0, -6, 5], [-6, -6, 6], [5, 6, -6]], 3, ((1, -2, 0), (0, 0, -1), (1, -1, 0)), (1, 2, 0)),
+    # a slide, one swap, a pivot of valuation 1, then a vanishing block
+    ([[-5, 5, -3, -2], [5, -10, -6, -4], [-3, -6, 5, -5], [-2, -4, -5, -5]], 25,
+     ((1, -21, 251, -139), (0, 1, -13, 7), (1, -21, 251, -140), (0, 0, 1, 0)), (19, 11, 15, 0)),
+    # a slide, then two swaps
+    ([[-3, -3, -5, 4], [-3, 3, -6, -5], [-5, -6, 0, -2], [4, -5, -2, -3]], 27,
+     ((1, -17, 302, -2072), (0, 0, 0, 1), (1, -16, 284, -1949), (0, 0, 1, -7)), (14, 4, 16, 20)),
+    # every entry divisible by p at e >= 2: four pivots of valuation 1, one swap
+    ([[-15, 30, 20, 15], [30, 15, 20, 25], [20, 20, -5, -15], [15, 25, -15, -25]], 125,
+     ((1, -7, 131, 1816), (0, 0, 1, 14), (0, 1, -22, -302), (0, 0, 0, -1)), (110, 105, 5, 105)),
+    # every entry divisible by p at e >= 2: a slide, no swap, a vanishing block
+    ([[-9, -15, -9], [-15, 9, 6], [-9, 6, 9]], 9, ((1, -2, 1), (1, -1, 0), (0, 0, 1)), (6, 3, 0)),
+    # a slide and one swap at a large prime
+    ([[-1000003, 3, -4, -4], [3, 0, 0, -1], [-4, 0, 0, -2], [-4, -1, -2, 1000003]], 1000003,
+     ((1, -500002, 500002166669, 125001375005083340), (1, -500001, 500001166667, 125001125002916669),
+      (0, 0, 0, -1), (0, 0, 1, 250002)), (6, 500000, 666666, 833340)),
+]
+
+
+@pytest.mark.parametrize("rows,k,U,d", PINNED)
+def test_diagonalization_is_pinned(rows, k, U, d):
+    result = diagonalize_mod_k(FramedLinkMatrix.from_rows(rows), ModK.from_modulus(k))
+    assert (result.U, result.d) == (U, d)
+
+
+def _full_scan_driver(a, valuation, cap, eliminate):
     """The symmetric-elimination driver without the diagonal-unit shortcut: every pivot from a full scan."""
-    m = len(a)
-    swaps = 0
+    m = len(a[0]) if a else 0
+    odd = False
     for t in range(m):
         vmin = min(valuation(a[r][c]) for r in range(t, m) for c in range(t, m))
         if vmin >= cap:
@@ -341,17 +373,16 @@ def _full_scan_driver(a, u, valuation, cap, eliminate):
                 row[i] += row[j]
             for c in range(m):
                 a[i][c] += a[j][c]
-            for row in u:
-                row[i] += row[j]
             diag = i
         if diag != t:
             a[diag], a[t] = a[t], a[diag]
-            for rows in (a, u):
-                for row in rows:
-                    row[diag], row[t] = row[t], row[diag]
-            swaps += 1
+            for row in a:
+                row[diag], row[t] = row[t], row[diag]
+            odd = not odd
         eliminate(t, vmin)
-    return swaps
+    if odd:
+        for row in a[m:]:
+            row[m - 1] = -row[m - 1]
 
 
 _SHORTCUT_DRIVER = linkalg._reduce_symmetric
@@ -365,12 +396,12 @@ class TestPivotShortcut:
         """compute()'s result and its pivots (step, valuation, pivot entry, U so far) under the given driver."""
         pivots = []
 
-        def recording(a, u, valuation, cap, eliminate):
+        def recording(a, valuation, cap, eliminate):
             def step(t, v):
-                pivots.append((t, v, a[t][t], tuple(map(tuple, u))))
+                pivots.append((t, v, a[t][t], tuple(map(tuple, a[len(a[0]):]))))
                 eliminate(t, v)
 
-            return driver(a, u, valuation, cap, step)
+            return driver(a, valuation, cap, step)
 
         monkeypatch.setattr(linkalg, "_reduce_symmetric", recording)
         return compute(), pivots
@@ -411,8 +442,8 @@ class TestPivotShortcut:
 def _three_pass_diagonalize(link, ring):
     """diagonalize_mod_k with its earlier eliminate step: a full-row, a full-column and a U pass for each row."""
     m, k, p, e = link.m, ring.k, ring.p, ring.e
-    a = [[x % k for x in row] for row in link.J]
-    u = [[int(r == c) for c in range(m)] for r in range(m)]
+    a = [[x % k for x in row] for row in link.J] + [[int(r == c) for c in range(m)] for r in range(m)]
+    u = a[m:]
 
     def eliminate(t, vmin):
         inv = pow(a[t][t] // p**vmin, -1, p ** (e - vmin))
@@ -428,9 +459,7 @@ def _three_pass_diagonalize(link, ring):
             for s in range(m):
                 u[s][r] -= c * u[s][t]
 
-    if linkalg._reduce_symmetric(a, u, ring.valuation, e, eliminate) % 2:
-        for row in u:
-            row[m - 1] = -row[m - 1]
+    linkalg._reduce_symmetric(a, ring.valuation, e, eliminate)
     return tuple(tuple(row) for row in u), tuple(a[i][i] % k for i in range(m))
 
 
