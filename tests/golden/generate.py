@@ -87,6 +87,9 @@ INPUTS = {
     "poly-hopf-1e-12": _polylink(_HOPF, 0.2, scale=1e-12),
     "poly-crossing": _polylink(_CROSSING, 0.2),
     "poly-crossing-1e200": _polylink(_CROSSING, 0.2, scale=1e200),
+    # a delta that the normalization to unit extent rounds to 0: the push-off is the curve itself
+    "poly-tiny-delta": _polylink([[[x * 1e200 for x in pt] for pt in _HOPF[0]]], 1e-200,
+                                 offsets=[_outward(_HOPF[0])]),
     "poly-split": _polylink(_SPLIT, 0.2),
     "poly-twisted-framing": _polylink(_HOPF[:1], 0.2, offsets=[_UP]),
     "poly-twisted-ring": _polylink([_RING], 0.2, offsets=[_TWIST]),
@@ -162,8 +165,8 @@ def _cases() -> list[dict]:
     add(["gauss-sum", "--k", "5"])
     add(["gauss-sum", "--k", "5", "--a", "x"])
     for name in ["poly-hopf", "poly-hopf-1e200", "poly-hopf-1e-12", "poly-crossing", "poly-crossing-1e200",
-                 "poly-split", "poly-twisted-framing", "poly-twisted-ring", "poly-bridge", "poly-bridge-unstable",
-                 "poly-nan", "poly-bad-delta", "hopf", "not-json", "not-object", "poly-two-points",
+                 "poly-tiny-delta", "poly-split", "poly-twisted-framing", "poly-twisted-ring", "poly-bridge",
+                 "poly-bridge-unstable", "poly-nan", "poly-bad-delta", "hopf", "not-json", "not-object", "poly-two-points",
                  "poly-offsets-shape", "poly-component-number", "poly-empty"]:
         add(["linking-matrix", "-i", "{input}"], name)
     for invariant, ks in (("su2k3", (None,)), ("abelian", (5, 13, 7, 9)), ("dw", (3, 5, 9, 2, 4, 6, 8, 12))):
