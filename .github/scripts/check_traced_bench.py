@@ -29,7 +29,16 @@ def reject(token):
 
 def main(path: str) -> None:
     with open(path) as fh:
-        result = json.loads(fh.read().strip().splitlines()[-1], parse_constant=reject)
+        lines = fh.read().strip().splitlines() or [""]
+    try:
+        result = json.loads(lines[-1], parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        sys.exit(f"the result line is not JSON: {exc}")
+    except ValueError as exc:  # reject's
+        sys.exit(str(exc))
+    absent = [key for key in ("correct", "failed", "metrics") if not isinstance(result, dict) or key not in result]
+    if absent:
+        sys.exit(f"the result line lacks {absent}")
     if result["correct"] is not True or result["failed"] != 0:
         sys.exit(f"traced run gave correct={result['correct']} and failed={result['failed']}")
     metrics = result["metrics"]

@@ -13,8 +13,11 @@ numtheory.require_coprime), and an -o file that cannot be written. Each command 
 its options need (_checked) before it reads the input, so exit 2 wins over
 exit 3. Each --k is a numtheory.ModK, and each command states what it needs
 of it: check --invariant dw takes every k that tau-dw takes, and check
---invariant su2k3 takes no --k. Only dw takes check --range paper; the other
-invariants sum the whole group.
+--invariant su2k3 takes no --k, the one option combination the command
+rejects itself. check --range passes invariants.require_range: only dw takes
+paper, as the other invariants sum the whole group. check prints one
+invariants.KirbyReport, its factorized_vs_brute check included, and exits 5
+on the report's verdict.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the term guard (expert use).
 Every term count, check's pre-count of its script included, goes through
@@ -26,6 +29,7 @@ su2k3 sums none, in tau-su2k3 or check, so no guard bounds it; check's
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -204,9 +208,7 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
         raise click.UsageError(f"--k is required for --invariant {invariant}")
     if invariant == "su2k3" and k is not None:
         raise click.BadParameter("--invariant su2k3 has the fixed level k=3; leave --k out", param_hint="'--k'")
-    if invariant != "dw" and range_convention == "paper":
-        raise click.BadParameter(f"--invariant {invariant} sums the whole group; --range paper is for dw only",
-                                 param_hint="'--range'")
+    _checked("--range", invariants.require_range, invariant, range_convention)
     ring = None if k is None else _checked("--k", ModK.from_modulus, k)
     if invariant == "abelian":
         _checked("--k", ModK.require_odd_prime_power, ring)
@@ -216,25 +218,17 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
     report = invariants.check_kirby_invariance(
         link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention, guard=guard,
     )
-    payload = report.to_json_dict()
     if invariant == "abelian":
         brute = report.before  # check_kirby_invariance evaluates the abelian value by brute force
         fact = invariants.tau_abelian(link, ring, method="factorized", guard=guard)
         gap = abs(brute - fact.value) / max(abs(brute), 1e-30)
-        payload["checks"].append({
-            "name": "factorized_vs_brute",
-            "asserted": True,
-            "passed": gap < 1e-6,
-            "deviation": gap,
-        })
-        payload["passed"] = payload["passed"] and gap < 1e-6
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        if not check["asserted"]:
-            status = "RECORDED"
-        click.echo(f"{status} {check['name']}: max deviation {check['deviation']:.3e}", err=True)
-    _emit(payload, output_path)
-    if not payload["passed"]:
+        check = invariants.PropertyCheck("factorized_vs_brute", True, gap < 1e-6, gap)
+        report = dataclasses.replace(report, checks=(*report.checks, check))
+    for check in report.checks:
+        status = "RECORDED" if not check.asserted else "PASS" if check.passed else "FAIL"
+        click.echo(f"{status} {check.name}: max deviation {check.deviation:.3e}", err=True)
+    _emit(report.to_json_dict(), output_path)
+    if not report.passed:
         sys.exit(EXIT_PROPERTY)
 
 

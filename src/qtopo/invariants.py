@@ -465,16 +465,23 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
 
 
 # invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention),
-#               level, the k a report prints, or None for ring.k, box_width(k, range_convention), the width of
-#               the box each evaluation's brute sum runs over, or None for an exact path that sums no terms);
-#               evaluate looks the tau_* function up when called, so a patched one is the one timed
+#               level, the k of an exact path that sums no terms, or None for ring.k and a brute sum over the
+#               range's box); evaluate looks the tau_* function up when called, so a patched one is the one timed
 _KIRBY_LAWS = {
-    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, 3, lambda k, rc: None),
+    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, 3),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
-                _abelian_law, None, lambda k, rc: k),
+                _abelian_law, None),
     "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law,
-           None, lambda k, rc: SumRange(rc).width(k)),
+           None),
 }
+
+
+def require_range(invariant: str, range_convention: str) -> SumRange:
+    """The SumRange a Kirby check sums over: any SumRange word for dw, "full" for the others (else ValueError)."""
+    offset_range = SumRange(range_convention)  # a ValueError for any other word
+    if offset_range is not SumRange.ZERO_TO_KM1 and invariant != "dw":
+        raise ValueError(f"{invariant} sums the whole group; the paper range is for dw only")
+    return offset_range
 
 
 def check_kirby_invariance(
@@ -492,8 +499,8 @@ def check_kirby_invariance(
     ring with k = 1 mod 4 for the law to hold): the phase is asserted equal
     and the modulus asserted to rescale by sqrt(k) per net blow-up. dw: only
     handle slides are asserted (for the full summation range); blow-up
-    behavior is recorded in the notes, not asserted. range_convention must be
-    a SumRange word, and "full" for abelian and su2k3 (else ValueError).
+    behavior is recorded in the notes, not asserted. range_convention must
+    pass require_range.
 
     moves is a script or a count n of at most MAX_RANDOM_MOVES
     (require_random_moves). A random script draws each move from
@@ -508,13 +515,12 @@ def check_kirby_invariance(
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    if SumRange(range_convention) is not SumRange.ZERO_TO_KM1 and invariant != "dw":
-        raise ValueError(f"{invariant} sums the whole group; range_convention 'paper' is for dw only")
-    evaluate, law, level, box_width = _KIRBY_LAWS[invariant]
+    offset_range = require_range(invariant, range_convention)
+    evaluate, law, level = _KIRBY_LAWS[invariant]
     if level is None and ring is None:
         raise ValueError(f"{invariant} invariance check requires a ring")
     k = level or ring.k
-    width = box_width(k, range_convention)
+    width = None if level else offset_range.width(k)
 
     rng = None
     if isinstance(moves, int):

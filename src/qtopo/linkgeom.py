@@ -89,10 +89,11 @@ class PolyLink:
             for key, pts in (("points", curve), ("offsets", offs)):
                 if not all(map(math.isfinite, chain.from_iterable(pts))):
                     raise SchemaError(f"/components/{idx}/{key}: coordinates must be finite")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise SchemaError(f"/delta: expected a positive finite number, got {self.delta}")
+        if not (_is_number(self.delta) and math.isfinite(self.delta) and self.delta > 0):
+            raise SchemaError(f"/delta: expected a positive finite number, got {self.delta!r}")
         object.__setattr__(self, "components", tuple(curve for curve, _ in fields))
         object.__setattr__(self, "framings", tuple(offs for _, offs in fields))
+        object.__setattr__(self, "delta", float(self.delta))
 
     @classmethod
     def from_json_dict(cls, data: object) -> "PolyLink":
@@ -112,10 +113,7 @@ class PolyLink:
                 if key not in comp:
                     raise SchemaError(f"/components/{i}/{key}: missing")
                 rows.append(comp[key])
-        delta = data.get("delta")
-        if not _is_number(delta):
-            raise SchemaError("/delta: expected a positive number")
-        return cls(components=tuple(comps), framings=tuple(offs), delta=float(delta))
+        return cls(components=tuple(comps), framings=tuple(offs), delta=data.get("delta"))
 
     @classmethod
     def from_json(cls, text: str) -> "PolyLink":
@@ -274,10 +272,9 @@ def self_linking(curve: Curve, offsets: Curve, delta: float) -> int:
 
     Emulates the shrinking-offset limit by requiring the same integer at
     delta, delta/2 and delta/4; disagreement means the framing is too
-    coarse for the geometry and raises GeometryError.
+    coarse for the geometry and raises GeometryError. So does a delta too
+    small to move the curve, as the push-off then touches it.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     values = []
     for scale in (1.0, 0.5, 0.25):
         values.append(linking_number(curve, push_off(curve, offsets, delta * scale)))

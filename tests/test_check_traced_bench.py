@@ -63,5 +63,14 @@ def test_nan_token(tmp_path):
     result = passing_result()
     result["metrics"][expected_keys()[0]]["value"] = float("nan")
     code, out, err = run(tmp_path, result)
-    assert (code, out) == (1, "")
-    assert err.rstrip().endswith("ValueError: NaN in the result line is not strict JSON")
+    assert "Traceback" not in err
+    assert (code, out, err) == (1, "", "NaN in the result line is not strict JSON\n")
+
+
+@pytest.mark.parametrize("key", ["correct", "failed", "metrics"])
+def test_missing_result_key(tmp_path, key):
+    result = passing_result()
+    del result[key]
+    code, out, err = run(tmp_path, result)
+    assert "Traceback" not in err
+    assert (code, out, err) == (1, "", f"the result line lacks [{key!r}]\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -151,6 +152,23 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert calls == [((0, 1), (1, 0))]
 
+    def test_factorized_vs_brute_failure_alone_fails_the_check(self, runner, hopf_matrix, monkeypatch):
+        # the CLI's own check joins the library's in the one report, whose verdict is the exit code
+        tau_abelian = invariants.tau_abelian
+
+        def skewed(link, ring, method="factorized", guard=invariants.DEFAULT_GUARD):
+            result = tau_abelian(link, ring, method=method, guard=guard)
+            return dataclasses.replace(result, value=result.value * (1 + 1e-3)) if method == "factorized" else result
+
+        monkeypatch.setattr(invariants, "tau_abelian", skewed)
+        result = runner.invoke(main, ["check", "--invariant", "abelian", "--k", "5", "-i", str(hopf_matrix)])
+        assert result.exit_code == 5, result.output
+        payload = json.loads(result.stdout)
+        assert [(check["name"], check["passed"]) for check in payload["checks"]] == [
+            ("phase_invariance", True), ("modulus_scaling", True), ("factorized_vs_brute", False)]
+        assert payload["passed"] is False
+        assert "FAIL factorized_vs_brute: max deviation 1.000e-03" in result.stderr.splitlines()
+
     def test_empty_script_passes(self, runner, hopf_matrix):
         result = runner.invoke(
             main, ["check", "--invariant", "su2k3", "--moves", "0", "-i", str(hopf_matrix)]
@@ -164,7 +182,8 @@ class TestCheckCommand:
                                       "--moves", "0", "-i", str(hopf_matrix)])
         assert result.exit_code == (2 if rng == "paper" and invariant != "dw" else 0), result.output
         if result.exit_code == 2:
-            assert "--range paper is for dw only" in result.output
+            assert result.output.splitlines()[-1] == (
+                f"Error: Invalid value for '--range': {invariant} sums the whole group; the paper range is for dw only")
 
     @pytest.mark.parametrize("invariant,modulus", [("su2k3", []), ("dw", ["--k", "2", "--range", "paper"]),
                                                    ("dw", ["--k", "5"])])

@@ -431,8 +431,8 @@ class TestKirbyChecks:
         assert all(not c.asserted for c in report.checks)
 
     @pytest.mark.parametrize("invariant,k,word,message", [
-        ("abelian", 5, "paper", "^abelian sums the whole group; range_convention 'paper' is for dw only$"),
-        ("su2k3", None, "paper", "^su2k3 sums the whole group; range_convention 'paper' is for dw only$"),
+        ("abelian", 5, "paper", "^abelian sums the whole group; the paper range is for dw only$"),
+        ("su2k3", None, "paper", "^su2k3 sums the whole group; the paper range is for dw only$"),
         ("abelian", 5, "bogus", "'bogus' is not a valid SumRange"),
         ("su2k3", None, "bogus", "'bogus' is not a valid SumRange"),
         ("dw", 5, "bogus", "'bogus' is not a valid SumRange"),

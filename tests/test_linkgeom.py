@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,13 @@ class TestScale:
             with pytest.raises(GeometryError, match=r"components \(0,1\)"):
                 linking_matrix(scaled(link, scale))
 
+    def test_delta_rounding_to_zero_rejected(self):
+        # 1e-200 over the extent 2e200 underflows to 0, so the push-off is the curve itself
+        a = square(side=2.0, plane="xy")
+        link = PolyLink(components=(a * 1e200,), framings=(outward_offsets(a),), delta=1e-200)
+        with pytest.raises(GeometryError, match=r"^component \(0,0\): curve pair: curves pass within"):
+            linking_matrix(link)
+
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(t=st.integers(min_value=-150, max_value=300), which=st.sampled_from(["hopf", "twisted"]))
     def test_matrix_unchanged_under_scaling(self, t, which):
@@ -328,6 +336,8 @@ class TestPolyLinkJson:
             ('{"components": [{"points": [[0,0,0],[1,0,0],[0,1,0]]}], "delta": 0.1}', "/components/0/offsets"),
             ('{"components": [], "delta": -1}', "/delta"),
             ('{"components": [], "delta": "x"}', "/delta"),
+            ('{"components": [], "delta": true}', "/delta"),
+            ('{"components": []}', "/delta"),
             ('{"components": [{"points": [[0,0],[1,0],[0,1]], "offsets": [[0,0],[1,0],[0,1]]}], "delta": 0.1}',
              "/components/0/points"),
             ('{"components": [{"points": [[NaN,0,0],[1,0,0],[0,1,0]], "offsets": [[0,0,1],[0,0,1],[0,0,1]]}],'
@@ -354,6 +364,12 @@ class TestPolyLinkJson:
             PolyLink.from_json(payload)
         assert str(err.value).startswith(pointer)
 
+    def test_row_error_wins_over_delta_error(self):
+        # the validator checks every row before delta
+        payload = '{"components": [{"points": [[0,0,0],[1,0,0]], "offsets": [[0,0,1],[0,0,1]]}], "delta": "x"}'
+        with pytest.raises(SchemaError, match=r"^/components/0/points: expected >=3 \[x,y,z\] triples$"):
+            PolyLink.from_json(payload)
+
     def test_deep_nesting_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="^/: invalid JSON"):
             PolyLink.from_json("[" * 100000)
@@ -373,6 +389,18 @@ class TestConstructor:
     def test_rejects_non_triples(self, points, offsets, pointer):
         with pytest.raises(SchemaError, match=f"^{pointer}: expected \\[x,y,z\\] triples$"):
             PolyLink(components=(points,), framings=(offsets,), delta=0.2)
+
+    @pytest.mark.parametrize("delta", [True, "0.1", None, -1])
+    def test_rejects_delta(self, delta):
+        a = square()
+        message = f"^/delta: expected a positive finite number, got {re.escape(repr(delta))}$"
+        with pytest.raises(SchemaError, match=message):
+            PolyLink(components=(a,), framings=(outward_offsets(a),), delta=delta)
+
+    def test_stores_delta_as_float(self):
+        a = square()
+        link = PolyLink(components=(a,), framings=(outward_offsets(a),), delta=1)
+        assert type(link.delta) is float and link.delta == 1.0
 
     def test_stores_float_triples(self):
         a, b = hopf_pair()
