@@ -166,8 +166,8 @@ def _cases() -> list[dict]:
     add(["gauss-sum", "--k", "5", "--a", "x"])
     for name in ["poly-hopf", "poly-hopf-1e200", "poly-hopf-1e-12", "poly-crossing", "poly-crossing-1e200",
                  "poly-tiny-delta", "poly-split", "poly-twisted-framing", "poly-twisted-ring", "poly-bridge",
-                 "poly-bridge-unstable", "poly-nan", "poly-bad-delta", "hopf", "not-json", "not-object", "poly-two-points",
-                 "poly-offsets-shape", "poly-component-number", "poly-empty"]:
+                 "poly-bridge-unstable", "poly-nan", "poly-bad-delta", "hopf", "not-json", "not-object",
+                 "poly-two-points", "poly-offsets-shape", "poly-component-number", "poly-empty"]:
         add(["linking-matrix", "-i", "{input}"], name)
     for invariant, ks in (("su2k3", (None,)), ("abelian", (5, 13, 7, 9)), ("dw", (3, 5, 9, 2, 4, 6, 8, 12))):
         for k in ks:
