@@ -3,12 +3,15 @@
     python3 bench/run.py --workload all --trace 1 --seconds 2 > bench-trace.txt
     python3 .github/scripts/check_traced_bench.py bench-trace.txt
 
-Run from the repository root, which holds BENCHMARK.json. Exits non-zero
-with a message naming what is wrong.
+It reads BENCHMARK.json from the repository that holds this script. Exits
+non-zero with a one-line message naming what is wrong.
 """
 
 import json
 import sys
+from pathlib import Path
+
+SPEC = Path(__file__).resolve().parents[2] / "BENCHMARK.json"
 
 # targets each workload is known to reach: a key that reads 0 hides a missed patch
 REACHED = [
@@ -27,9 +30,18 @@ def reject(token):
     raise ValueError(f"{token} in the result line is not strict JSON")
 
 
-def main(path: str) -> None:
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines() or [""]
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 1:
+        sys.exit("usage: check_traced_bench.py <traced bench output>")
+    try:
+        with open(argv[0]) as fh:
+            lines = fh.read().strip().splitlines() or [""]
+    except OSError as exc:
+        sys.exit(f"cannot read the traced bench output: {exc}")
     try:
         result = json.loads(lines[-1], parse_constant=reject)
     except json.JSONDecodeError as exc:
@@ -42,12 +54,15 @@ def main(path: str) -> None:
     if result["correct"] is not True or result["failed"] != 0:
         sys.exit(f"traced run gave correct={result['correct']} and failed={result['failed']}")
     metrics = result["metrics"]
-    with open("BENCHMARK.json") as fh:
-        spec = json.load(fh)
+    spec = json.loads(SPEC.read_text())
     expected = [f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["per_layer"]]
     missing = [key for key in expected if key not in metrics]
     if missing:
         sys.exit(f"traced run lacks {len(missing)} per-layer metrics: {missing}")
+    not_numbers = [key for key in expected
+                   if not isinstance(metrics[key], dict) or not is_number(metrics[key].get("value"))]
+    if not_numbers:
+        sys.exit(f"traced run gives {len(not_numbers)} per-layer metrics no numeric value: {not_numbers}")
     never_called = [key for key in REACHED if not metrics[key]["value"] > 0]
     if never_called:
         sys.exit(f"traced run never called {never_called}")
@@ -55,4 +70,4 @@ def main(path: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    main(sys.argv[1:])

@@ -22,9 +22,11 @@ Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the term guard (expert use).
 Every term count, check's pre-count of its script included, goes through
 invariants.charge, so each exit-4 term message reads "<formula> = <terms>
-terms exceeds guard <guard>". dw's paper range counts (k-1)**m terms, and
-su2k3 sums none, in tau-su2k3 or check, so no guard bounds it; check's
---moves bound does.
+terms exceeds guard <guard>". dw's paper range counts (k-1)**m terms; its
+full range counts m*k at an odd prime power k (the factorized sum, which
+never loads numpy) and k**m at any other k, though check's pre-count of a dw
+script counts k**m for every full-range evaluation. su2k3 sums no terms, in
+tau-su2k3 or check, so no guard bounds it; check's --moves bound does.
 """
 
 from __future__ import annotations

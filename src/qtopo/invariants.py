@@ -2,10 +2,11 @@
 
 All three invariants reduce to multivariate quadratic exponential sums over
 residues. The Abelian and finite-group invariants get a brute-force
-enumeration path; the Abelian invariant additionally gets a fast factorized
-path (congruence-diagonalize the matrix mod k, multiply scalar Gauss sums)
-whose agreement with brute force is the load-bearing correctness check of
-the whole reduction. The level-3 SU(2) invariant is a Z/4-valued quadratic
+enumeration path. At an odd prime power k, the Abelian invariant and the
+finite-group invariant over the whole group share a fast factorized path
+(congruence-diagonalize the matrix mod k, multiply scalar Gauss sums), whose
+agreement with brute force is the load-bearing correctness check of the
+whole reduction. The level-3 SU(2) invariant is a Z/4-valued quadratic
 form summed over (Z/2)^m, which variable elimination evaluates exactly in
 O(m**3) integer operations; the brute sum stays its test oracle.
 
@@ -17,7 +18,7 @@ count array falls back to summing phases chunk by chunk, in a fixed order.
 Either way results are bit-stable across runs.
 
 numpy is imported on first array use, inside the functions that build
-arrays (the brute sum), so the factorized path and tau_su2_k3 never load it.
+arrays (the brute sum), so the factorized paths and tau_su2_k3 never load it.
 """
 
 from __future__ import annotations
@@ -188,6 +189,29 @@ def _half_box(
     return rows, forms
 
 
+def _factorized_sum(link: FramedLinkMatrix, ring: ModK, guard: int) -> complex:
+    """The sum of exp(-2*pi*i * n^T J n / k) over (Z/k)^m at an odd prime power k, in m*k terms.
+
+    J is congruence-diagonalized mod k (Murakami, Ohtsuki and Okada, Osaka
+    J. Math. 29, 1992), so the sum is the product of the scalar Gauss sums
+    of the diagonal entries, each summed by brute force.
+    """
+    k = ring.k
+    charge(link.m * k, f"{link.m}*{k}", guard)
+    diag = diagonalize_mod_k(link, ring)
+    # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry
+    half_powers = sum(ring.e + ring.valuation(entry) for entry in diag.d)
+    if half_powers * math.log(ring.p) / 2 > _LOG_FLOAT_MAX:
+        raise GuardExceeded(
+            f"|value| = {ring.p}**({half_powers}/2) ~ 1e{half_powers * math.log10(ring.p) / 2:.0f}"
+            " is beyond the float range"
+        )
+    value = 1.0 + 0.0j
+    for entry in diag.d:
+        value *= gauss_sum_brute(k, entry)
+    return value
+
+
 def tau_abelian(
     link: FramedLinkMatrix,
     ring: ModK,
@@ -209,18 +233,7 @@ def tau_abelian(
     if method == "brute":
         value = multivariate_gauss_sum(link, k, Fraction(-1, k), SumRange.ZERO_TO_KM1, guard)
     elif method == "factorized":
-        charge(link.m * k, f"{link.m}*{k}", guard)
-        diag = diagonalize_mod_k(link, ring)
-        # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry
-        half_powers = sum(ring.e + ring.valuation(entry) for entry in diag.d)
-        if half_powers * math.log(ring.p) / 2 > _LOG_FLOAT_MAX:
-            raise GuardExceeded(
-                f"|value| = {ring.p}**({half_powers}/2) ~ 1e{half_powers * math.log10(ring.p) / 2:.0f}"
-                " is beyond the float range"
-            )
-        value = 1.0 + 0.0j
-        for entry in diag.d:
-            value *= gauss_sum_brute(k, entry)
+        value = _factorized_sum(link, ring, guard)
     else:
         raise ValueError(f"unknown method {method!r}")
     if k % 4 != 1:
@@ -329,12 +342,20 @@ def tau_dw(
     (1/k) * sum of exp(+2*pi*i * n^T J n / k). The written formula excludes
     the zero residue from each variable ("paper"); "full" sums the whole
     group, which is the convention that is exactly handle-slide invariant.
+    At an odd prime power k the full sum is the conjugate of the factorized
+    Abelian sum, m*k terms ("factorized"); the paper range and every other k
+    sum the box by brute force ("brute").
     """
     offset_range = SumRange(range_convention)  # a ValueError for any other word
-    ModK.from_modulus(k)  # the range every modulus has: a k beyond the float range would overflow core / k
-    core = multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard)
+    ring = ModK.from_modulus(k)  # the range every modulus has: a k beyond the float range would overflow core / k
+    if offset_range is SumRange.ZERO_TO_KM1 and ring.p > 2:
+        g = _factorized_sum(link, ring, guard)  # the sum with the negative exponent
+        # its conjugate, with an exact 0 kept as +0.0, the sign the brute sum gives it
+        method, core = "factorized", complex(g.real, 0.0 - g.imag)
+    else:
+        method, core = "brute", multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard)
     value = core / k
-    return InvariantResult(value=value, method="brute", k=k, m=link.m, normalized=value)
+    return InvariantResult(value=value, method=method, k=k, m=link.m, normalized=value)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +486,8 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
 
 
 # invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention),
-#               level, the k of an exact path that sums no terms, or None for ring.k and a brute sum over the
-#               range's box); evaluate looks the tau_* function up when called, so a patched one is the one timed
+#               level, the k of an exact path that sums no terms, or None for ring.k and a count of the range's
+#               brute box); evaluate looks the tau_* function up when called, so a patched one is the one timed
 _KIRBY_LAWS = {
     "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, 3),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
@@ -507,11 +528,13 @@ def check_kirby_invariance(
     random.Random(seed), legal on the current matrix, and ends early when
     none is. Blow-ups stop at m_cap components: the largest m with
     width**m <= min(guard, 10**6), if above the input's m, width being that
-    of the box each evaluation sums (k, or k-1 for dw's paper range), or 16
-    where the box has width 1 or, as for su2k3's exact sum, none. Before the
-    first draw, charge counts the script as n + 1 evaluations of the largest
-    box it can reach, in the one message form; su2k3 is never counted
-    against the guard, so only MAX_RANDOM_MOVES bounds its script.
+    of the box a brute evaluation sums (k, or k-1 for dw's paper range), or
+    16 where the box has width 1 or, as for su2k3's exact sum, none. dw's
+    full range is counted as that box even where tau_dw sums it in m*k
+    terms, at an odd prime power. Before the first draw, charge counts the
+    script as n + 1 evaluations of the largest box it can reach, in the one
+    message form; su2k3 is never counted against the guard, so only
+    MAX_RANDOM_MOVES bounds its script.
     """
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")

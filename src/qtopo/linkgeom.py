@@ -90,7 +90,11 @@ class PolyLink:
                 if not all(map(math.isfinite, chain.from_iterable(pts))):
                     raise SchemaError(f"/components/{idx}/{key}: coordinates must be finite")
         if not (_is_number(self.delta) and math.isfinite(self.delta) and self.delta > 0):
-            raise SchemaError(f"/delta: expected a positive finite number, got {self.delta!r}")
+            try:
+                shown = repr(self.delta)
+            except ValueError:  # an int past the interpreter's limit on digits converted to a string
+                shown = "an integer too long to print"
+            raise SchemaError(f"/delta: expected a positive finite number, got {shown}")
         object.__setattr__(self, "components", tuple(curve for curve, _ in fields))
         object.__setattr__(self, "framings", tuple(offs for _, offs in fields))
         object.__setattr__(self, "delta", float(self.delta))

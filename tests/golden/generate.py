@@ -143,6 +143,8 @@ def _cases() -> list[dict]:
         add(["tau-dw", "--k", k, "-i", "{input}"], "empty")
     add(["tau-dw", "--k", "5", "--range", "half", "-i", "{input}"], "hopf")
     add(["tau-dw", "--k", "5", "-i", "{input}"], "zero-12", guard="1000")
+    # the full range at an odd prime power sums 12*5 terms, not the 5**12 of its box, which is past the guard
+    add(["tau-dw", "--k", "5", "--range", "full", "-i", "{input}"], "zero-12")
     for name in BAD:
         add(["tau-su2k3", "-i", "{input}"], name)
         add(["tau-dw", "--k", "5", "-i", "{input}"], name)

@@ -232,6 +232,8 @@ for link in (path, poly):
     run("tau-abelian", "--k", "13", "-i", link)
     run("tau-su2k3", "-i", link)
     run("check", "--invariant", "su2k3", "--moves", "3", "-i", link)
+    run("tau-dw", "--k", "5", "--range", "full", "-i", link)
+    run("check", "--invariant", "dw", "--k", "5", "--range", "full", "-i", link)
 run("linking-matrix", "-i", poly)
 link = linkalg.FramedLinkMatrix.from_json(open(path).read())
 linkalg.signature(link)
@@ -243,8 +245,8 @@ print("numpy" in sys.modules)
 
 
 def test_numpy_loads_only_where_arrays_are_built(tmp_path, hopf_polylink):
-    """Imports, gauss-sum, the factorized Abelian path, su2k3 and the geometry never load numpy; tau-dw's brute sum
-    loads it."""
+    """Imports, gauss-sum, the factorized Abelian and dw full-range paths, su2k3 and the geometry never load numpy;
+    tau-dw's brute sum over the paper range loads it."""
     env = dict(os.environ)
     src = str(Path(qtopo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -383,6 +383,32 @@ class TestTauDw:
         with pytest.raises(ValueError):
             tau_dw(FramedLinkMatrix.from_rows([[1]]), 5, "half")
 
+    def test_full_range_matches_the_brute_oracle(self):
+        # criterion 03: the factorized full sum against the brute box sum, on entries divisible by p too
+        rng = random.Random(31)
+        for _ in range(200):
+            k = rng.choice((3, 5, 7, 9, 13, 25, 27, 125))
+            m = rng.choice([m for m in range(5) if k**m <= 2 * 10**6])
+            p = ModK.from_modulus(k).p
+            rows = [[0] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i, m):
+                    rows[i][j] = rows[j][i] = rng.choice((rng.randint(-30, 30), p * rng.randint(-9, 9),
+                                                          k * rng.randint(-3, 3), rng.randint(-(10**20), 10**20)))
+            link = FramedLinkMatrix.from_rows(rows)
+            got = tau_dw(link, k, "full")
+            assert got.method == "factorized"
+            want = multivariate_gauss_sum(link, k, Fraction(1, k)) / k
+            assert rel_gap(got.value, want) < 1e-9, (rows, k)
+
+    @pytest.mark.parametrize("k,range_convention,method", [
+        *((k, "full", "factorized") for k in (3, 5, 9, 13, 125)),
+        *((k, "paper", "brute") for k in (3, 5, 9, 13, 125)),
+        *((k, rc, "brute") for k in (2, 4, 6, 15, 45) for rc in ("full", "paper")),
+    ])
+    def test_method_label(self, k, range_convention, method):
+        assert tau_dw(FramedLinkMatrix.from_rows([[1, 2], [2, 0]]), k, range_convention).method == method
+
     @pytest.mark.parametrize("k", [1, 10**30, 10**309], ids=["1", "1e30", "1e309"])
     def test_rejects_a_modulus_out_of_range(self, k):
         # 10**309 has no float, so the normalization core / k would overflow
@@ -528,12 +554,12 @@ class TestDeclaredCost:
 
     @pytest.fixture
     def charged(self, monkeypatch):
-        """The terms each charge call declares, in order."""
+        """The (terms, formula) each charge call declares, in order."""
         declared = []
         real = invariants.charge
 
         def spy(terms, formula, guard):
-            declared.append(terms)
+            declared.append((terms, formula))
             real(terms, formula, guard)
 
         monkeypatch.setattr(invariants, "charge", spy)
@@ -560,7 +586,7 @@ class TestDeclaredCost:
             link, width = random_symmetric(rng, m), offset_range.width(k)
             charged.clear(), binned.clear()
             multivariate_gauss_sum(link, k, Fraction(rng.choice((1, -1)), k), offset_range)
-            assert charged == [width**m] and sum(binned) == width**m
+            assert charged == [(width**m, f"{width}**{m}")] and sum(binned) == width**m
             multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard=width**m)
             message = rf"^{width}\*\*{m} = {width**m} terms exceeds guard {width**m - 1}$"
             with pytest.raises(GuardExceeded, match=message):
@@ -580,11 +606,24 @@ class TestDeclaredCost:
             link = random_symmetric(rng, m)
             charged.clear(), scalar_terms.clear()
             tau_abelian(link, ring)
-            assert charged == [m * ring.k] and sum(scalar_terms) == m * ring.k
+            assert charged == [(m * ring.k, f"{m}*{ring.k}")] and sum(scalar_terms) == m * ring.k
             tau_abelian(link, ring, guard=m * ring.k)
             message = rf"^{m}\*{ring.k} = {m * ring.k} terms exceeds guard {m * ring.k - 1}$"
             with pytest.raises(GuardExceeded, match=message):
                 tau_abelian(link, ring, guard=m * ring.k - 1)
+
+    def test_factorized_dw(self, charged, binned):
+        rng = random.Random(31)
+        for _ in range(20):
+            m, k = rng.randint(0, 5), rng.choice((3, 5, 7, 9, 13, 25, 27, 125))
+            link = random_symmetric(rng, m)
+            charged.clear(), binned.clear()
+            tau_dw(link, k, "full")
+            assert charged == [(m * k, f"{m}*{k}")] and binned == []
+            tau_dw(link, k, "full", guard=m * k)
+            message = rf"^{m}\*{k} = {m * k} terms exceeds guard {m * k - 1}$"
+            with pytest.raises(GuardExceeded, match=message):
+                tau_dw(link, k, "full", guard=m * k - 1)
 
     def test_kirby_pre_count(self, charged, binned):
         rng = random.Random(28)
@@ -595,10 +634,19 @@ class TestDeclaredCost:
             range_convention = rng.choice(("full", "paper")) if invariant == "dw" else "full"
             moves, seed = rng.randint(0, 6), rng.randrange(10**6)
             charged.clear(), binned.clear()
-            check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention)
-            # the pre-count bounds the script's evaluations, each of which charges its own brute sum
-            declared, width = charged[0], SumRange(range_convention).width(ring.k)
-            assert sum(binned) == sum(charged[1:]) <= declared
+            report = check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring,
+                                            range_convention=range_convention)
+            # the pre-count bounds the script's evaluations: dw full at an odd prime power charges m*k and bins
+            # nothing, every other evaluation charges its brute box and bins exactly that many residues
+            (declared, _), width, k = charged[0], SumRange(range_convention).width(ring.k), ring.k
+            steps = ({"blow_up": 1, "blow_down": -1}.get(move[0], 0) for move in report.script)
+            ms = list(itertools.accumulate(steps, initial=link.m))
+            if invariant == "dw" and range_convention == "full" and ring.p > 2:
+                assert charged[1:] == [(m * k, f"{m}*{k}") for m in ms] and binned == []
+            else:
+                assert charged[1:] == [(width**m, f"{width}**{m}") for m in ms]
+                assert sum(binned) == sum(width**m for m in ms)
+            assert sum(terms for terms, _ in charged[1:]) <= declared
             check_kirby_invariance(link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention,
                                    guard=declared)
             message = rf"^{moves + 1} evaluations \* {width}\*\*\d+ = {declared} terms exceeds guard {declared - 1}$"

@@ -394,6 +394,14 @@ class TestConstructor:
         with pytest.raises(SchemaError, match=message):
             PolyLink(components=(a,), framings=(outward_offsets(a),), delta=delta)
 
+    def test_rejects_a_delta_too_long_to_print(self):
+        # 10**400 is beyond the float range and still prints; 10**5000 passes the interpreter's digit limit
+        with pytest.raises(SchemaError, match=f"^/delta: expected a positive finite number, got {10**400}$"):
+            PolyLink(components=(), framings=(), delta=10**400)
+        with pytest.raises(SchemaError, match="^/delta: expected a positive finite number, got an integer too long"
+                                              " to print$"):
+            PolyLink(components=(), framings=(), delta=10**5000)
+
     def test_stores_delta_as_float(self):
         a = square()
         link = PolyLink(components=(a,), framings=(outward_offsets(a),), delta=1)
