@@ -38,9 +38,9 @@ def main(argv: list[str]) -> None:
     if len(argv) != 1:
         sys.exit("usage: check_traced_bench.py <traced bench output>")
     try:
-        with open(argv[0]) as fh:
+        with open(argv[0], encoding="utf-8") as fh:
             lines = fh.read().strip().splitlines() or [""]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.exit(f"cannot read the traced bench output: {exc}")
     try:
         result = json.loads(lines[-1], parse_constant=reject)
@@ -54,6 +54,8 @@ def main(argv: list[str]) -> None:
     if result["correct"] is not True or result["failed"] != 0:
         sys.exit(f"traced run gave correct={result['correct']} and failed={result['failed']}")
     metrics = result["metrics"]
+    if not isinstance(metrics, dict):
+        sys.exit(f"the result line's metrics is not an object but {type(metrics).__name__}")
     spec = json.loads(SPEC.read_text())
     expected = [f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["per_layer"]]
     missing = [key for key in expected if key not in metrics]

@@ -15,7 +15,9 @@ multiple of 2*pi; no float enters before the final angle conversion. The
 brute sum counts how often each exponent residue occurs, exactly, and
 weighs each count by its phase once; only a denominator too large for a
 count array falls back to summing phases chunk by chunk, in a fixed order.
-Either way results are bit-stable across runs.
+Either way results are bit-stable across runs. The factorized sum and
+tau_su2_k3 know the value's modulus exactly before any float is formed, and
+one integer comparison, _require_float_range, decides whether it fits a float.
 
 numpy is imported on first array use, inside the functions that build
 arrays (the brute sum), so the factorized paths and tau_su2_k3 never load it.
@@ -42,7 +44,6 @@ if TYPE_CHECKING:
 
 DEFAULT_GUARD = 10**8
 MAX_RANDOM_MOVES = 10**3
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CHUNK = 1 << 18
 
 Method = Literal["brute", "factorized"]
@@ -70,6 +71,13 @@ def charge(terms: int, formula: str, guard: int) -> None:
     """The one term-count guard: every path that sums terms declares their count and its formula here first."""
     if terms > guard:
         raise GuardExceeded(f"{formula} = {terms} terms exceeds guard {guard}")
+
+
+def _require_float_range(base: int, half_powers: int) -> None:
+    """The one float-range rule, in integers: |value| = base**(half_powers/2) is at most the largest float."""
+    if base**half_powers > int(sys.float_info.max) ** 2:
+        size = f"{base}**({half_powers}/2) ~ 1e{half_powers * math.log10(base) / 2:.0f}"
+        raise GuardExceeded(f"|value| = {size} is beyond the float range")
 
 
 @dataclass(frozen=True)
@@ -194,18 +202,14 @@ def _factorized_sum(link: FramedLinkMatrix, ring: ModK, guard: int) -> complex:
 
     J is congruence-diagonalized mod k (Murakami, Ohtsuki and Okada, Osaka
     J. Math. 29, 1992), so the sum is the product of the scalar Gauss sums
-    of the diagonal entries, each summed by brute force.
+    of the diagonal entries, each summed by brute force once the modulus
+    that the diagonal fixes has passed _require_float_range.
     """
     k = ring.k
     charge(link.m * k, f"{link.m}*{k}", guard)
     diag = diagonalize_mod_k(link, ring)
     # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry
-    half_powers = sum(ring.e + ring.valuation(entry) for entry in diag.d)
-    if half_powers * math.log(ring.p) / 2 > _LOG_FLOAT_MAX:
-        raise GuardExceeded(
-            f"|value| = {ring.p}**({half_powers}/2) ~ 1e{half_powers * math.log10(ring.p) / 2:.0f}"
-            " is beyond the float range"
-        )
+    _require_float_range(ring.p, sum(ring.e + ring.valuation(entry) for entry in diag.d))
     value = 1.0 + 0.0j
     for entry in diag.d:
         value *= gauss_sum_brute(k, entry)
@@ -313,14 +317,13 @@ def tau_su2_k3(link: FramedLinkMatrix) -> InvariantResult:
     is summed, so no guard applies. With s = sigma mod 8,
     exp(-i*pi*sigma/4) = ((1 - i) / sqrt(2))**s, so the value is the
     Gaussian integer S * (1 - i)**s over 2**((m + s)/2), converted to floats
-    once. |value| is 0 or 2**(z/2) for an integer z; a z of 2048 or more is
-    beyond the float range and raises GuardExceeded.
+    once. |value| is 0 or 2**(z/2) for an integer z, and _require_float_range
+    raises GuardExceeded for a z of 2048 or more.
     """
     re, im = _z2_gauss_sum(link.J)
     m, s = link.m, signature(link) % 8
     z = (re * re + im * im).bit_length() - 1 - m  # |S|**2 = 2**(m + z) or 0
-    if z >= 2 * sys.float_info.max_exp:
-        raise GuardExceeded(f"|value| = 2**({z}/2) ~ 1e{z * math.log10(2) / 2:.0f} is beyond the float range")
+    _require_float_range(2, z)
     for _ in range(s):
         re, im = re + im, im - re  # times 1 - i
     # each exact division leaves a component of at most 2**((z - 1)/2) for odd m + s, so nothing overflows
@@ -437,22 +440,15 @@ class KirbyReport:
 
 
 def _phasor_gap(a: complex, b: complex) -> float:
-    """Distance between unit phasors; 0 iff the arguments agree mod 2*pi."""
-    if abs(a) == 0 or abs(b) == 0:
-        return float("nan")
+    """Distance between unit phasors; 0 iff the arguments agree mod 2*pi. Neither may be 0."""
     return abs(a / abs(a) - b / abs(b))
 
 
 _KIRBY_TOL = 1e-9
 
 
-def _worst(deviations) -> float:
-    """max(0.0, d1, d2, ...): a nan deviation after the 0.0 is dropped, never propagated."""
-    return max([0.0, *deviations])
-
-
 def _su2k3_law(values: list[complex], script: list[Move], k: int, range_convention: str):
-    dev = _worst(abs(value - values[0]) for value in values[1:])
+    dev = max((abs(value - values[0]) for value in values[1:]), default=0.0)
     return [PropertyCheck("value_invariance", True, dev < _KIRBY_TOL, dev)], []
 
 
@@ -460,8 +456,9 @@ def _abelian_law(values: list[complex], script: list[Move], k: int, range_conven
     before = values[0]
     steps = ({"blow_up": 1, "blow_down": -1}.get(move[0], 0) for move in script)
     expected = [abs(before) * k ** (net_blowups / 2) for net_blowups in itertools.accumulate(steps)]
-    phase_dev = _worst(_phasor_gap(value, before) for value in values[1:])
-    modulus_dev = _worst(abs(abs(value) - mod) / mod for value, mod in zip(values[1:], expected))
+    # at an odd prime power every value has |value| = prod p**((e + v_i)/2) >= 1, so no phase is undefined
+    phase_dev = max((_phasor_gap(value, before) for value in values[1:]), default=0.0)
+    modulus_dev = max((abs(abs(value) - mod) / mod for value, mod in zip(values[1:], expected)), default=0.0)
     checks = [
         PropertyCheck("phase_invariance", True, phase_dev < _KIRBY_TOL, phase_dev),
         PropertyCheck("modulus_scaling", True, modulus_dev < _KIRBY_TOL, modulus_dev),
@@ -478,7 +475,7 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
         else:
             ratio = value / prev if prev != 0 else complex("nan")
             notes.append(f"{move[0]} changed dw value by factor {ratio:.6g} (recorded, not asserted)")
-    dev = _worst(slide_devs)
+    dev = max(slide_devs, default=0.0)
     asserted = range_convention == "full"
     if not asserted:
         notes.append("paper range excludes zero residues; slide invariance recorded, not asserted")

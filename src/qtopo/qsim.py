@@ -206,8 +206,8 @@ def phase_estimate(k: int, a: int, epsilon: float, seed: int = 0) -> PhaseEstima
     A control qubit selects whether the encoding unitary acts on the
     character state; measuring the control along the two equatorial bases
     estimates cos(phi) and sin(phi), and phi_hat = atan2 of the two
-    frequencies. Both readout probabilities come from the one overlap
-    z = <chi|U_a chi>. Shot counts follow sample_schedule(epsilon).
+    frequencies, in (-pi, pi] with no wrap. Both readout probabilities come
+    from the one overlap z = <chi|U_a chi>; shots follow sample_schedule.
 
     A Gauss sum's phase is a multiple of pi/2, so in exact arithmetic p_cos
     or p_sin is exactly 1/2. numpy's binomial sampler branches on p > 0.5,
@@ -227,9 +227,8 @@ def phase_estimate(k: int, a: int, epsilon: float, seed: int = 0) -> PhaseEstima
     rng = np.random.default_rng(seed)
     cos_hat = 2.0 * rng.binomial(shots, min(max(p_cos, 0.0), 1.0)) / shots - 1.0
     sin_hat = 2.0 * rng.binomial(shots, min(max(p_sin, 0.0), 1.0)) / shots - 1.0
+    # atan2 gives -pi only for a -0.0 sine, and x - x is +0.0, so phi_hat is in (-pi, pi]
     phi_hat = math.atan2(sin_hat, cos_hat)
-    if phi_hat <= -math.pi:
-        phi_hat += 2.0 * math.pi
 
     halfwidth = math.asin(min(1.0, 2.0 * math.sqrt(2.0) * _CONFIDENCE_T(shots)))
     return PhaseEstimate(phi=phi_hat, samples=shots, epsilon=epsilon, ci_halfwidth=halfwidth)

@@ -109,3 +109,21 @@ def test_value_not_a_number(tmp_path, value):
     code, out, err = run(tmp_path, result)
     assert "Traceback" not in err
     assert (code, out, err) == (1, "", f"traced run gives 1 per-layer metrics no numeric value: [{key!r}]\n")
+
+
+@pytest.mark.parametrize("metrics", [5, [1], "metrics"])
+def test_metrics_not_an_object(tmp_path, metrics):
+    result = passing_result()
+    result["metrics"] = metrics
+    code, out, err = run(tmp_path, result)
+    assert "Traceback" not in err
+    assert (code, out, err) == (1, "", f"the result line's metrics is not an object but {type(metrics).__name__}\n")
+
+
+def test_trace_not_utf8(tmp_path):
+    trace = tmp_path / "bench-trace.txt"
+    trace.write_bytes(b"\xff" + json.dumps(passing_result()).encode() + b"\n")
+    code, out, err = run_script(str(trace))
+    assert "Traceback" not in err
+    assert (code, out, err) == (1, "", "cannot read the traced bench output: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 0: invalid start byte\n")

@@ -449,6 +449,16 @@ class TestExitCodes:
         assert "guard exceeded: |value| = 1009**(206/2)" in result.output
         assert "Traceback" not in result.output
 
+    def test_abelian_at_the_float_range_edge_is_0(self, runner, tmp_path):
+        # |value| = 1009**(205/2) ~ 7.92e307, just below the largest float
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"J": [[int(i == j) for j in range(205)] for i in range(205)]}))
+        result = runner.invoke(main, ["tau-abelian", "--k", "1009", "-i", str(path)])
+        assert result.exit_code == 0
+        value = complex(parse(result)["re"], parse(result)["im"])
+        assert math.isfinite(abs(value))
+        assert math.isclose(abs(value), 1009.0**102.5, rel_tol=1e-9)
+
     @pytest.mark.parametrize("m", [2048, 2050])
     def test_su2k3_beyond_float_range_is_4(self, runner, tmp_path, m):
         # the zero matrix has |value| = 2**(m/2); 2**1024 is the first power of two past the largest float
@@ -493,6 +503,18 @@ class TestExitCodes:
     def test_missing_input_is_2(self, runner):
         result = runner.invoke(main, ["tau-su2k3", "-i", "no_such_file.json"])
         assert result.exit_code == 2
+
+    def test_unreadable_input_is_2(self, runner, hopf_matrix, monkeypatch):
+        # click checks only that the file exists; a read that fails after it names --input
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "decode_json", denied)
+        result = runner.invoke(main, ["tau-su2k3", "-i", str(hopf_matrix)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"Error: --input: [Errno 13] Permission denied: {str(hopf_matrix)!r}"
 
     @pytest.mark.parametrize(
         "data",

@@ -22,7 +22,7 @@ from qtopo.invariants import (
     tau_dw,
     tau_su2_k3,
 )
-from qtopo.linkalg import FramedLinkMatrix, blow_up, handle_slide, signature
+from qtopo.linkalg import FramedLinkMatrix, blow_up, diagonalize_mod_k, handle_slide, signature
 from qtopo.numtheory import ModK, gauss_sum_brute
 from test_linkalg import random_symmetric
 
@@ -205,6 +205,43 @@ class TestTauAbelian:
         payload = tau_abelian(FramedLinkMatrix.from_rows([[1]]), ModK.from_modulus(5)).to_json_dict()
         assert set(payload) == {"re", "im", "method", "k", "m", "normalized_re", "normalized_im"}
 
+    @pytest.mark.filterwarnings("ignore:k=.* is not 1 mod 4")
+    def test_brute_value_is_never_below_one(self):
+        # |value| = prod p**((e + v_i)/2) over the diagonal mod k, so the Abelian Kirby law's phases and check's
+        # factorized_vs_brute gap never divide by 0
+        rng = random.Random(32)
+        for k in (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 125):
+            ring = ModK.from_modulus(k)
+            m_max = max(m for m in range(12) if k**m <= 2 * 10**5)
+            for _ in range(8):
+                m = rng.randint(0, m_max)
+                rows = [[0] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):  # units, multiples of p and multiples of k
+                        rows[i][j] = rows[j][i] = rng.choice((1, ring.p, k)) * rng.randint(-3, 3)
+                link = FramedLinkMatrix.from_rows(rows)
+                value = tau_abelian(link, ring, method="brute").value
+                half_powers = sum(ring.e + ring.valuation(entry) for entry in diagonalize_mod_k(link, ring).d)
+                assert abs(value) >= 1
+                assert math.isclose(abs(value) ** 2, ring.p**half_powers, rel_tol=1e-9)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("base,half_powers,message", [
+        (2, 2047, None),
+        (2, 2048, "|value| = 2**(2048/2) ~ 1e308 is beyond the float range"),
+        (1009, 205, None),
+        (1009, 206, "|value| = 1009**(206/2) ~ 1e309 is beyond the float range"),
+    ])
+    def test_boundary(self, base, half_powers, message):
+        # the largest float is just below 2**1024, and 1009**(205/2) ~ 7.92e307 is below it
+        if message is None:
+            invariants._require_float_range(base, half_powers)
+        else:
+            with pytest.raises(GuardExceeded) as info:
+                invariants._require_float_range(base, half_powers)
+            assert str(info.value) == message
+
 
 class TestTauSu2K3:
     @pytest.mark.parametrize(
@@ -354,6 +391,21 @@ class TestZ2GaussSum:
         value = tau_su2_k3(FramedLinkMatrix.from_rows([[0] * 2047 for _ in range(2047)])).value
         assert math.isclose(value.real, 2**1023.5, rel_tol=1e-15)
         assert value.imag == 0.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: multivariate_gauss_sum(FramedLinkMatrix.from_rows([[1]]), 1, Fraction(1, 1)), "modulus 1 must be >= 2"),
+    (lambda: tau_abelian(FramedLinkMatrix.from_rows([[1]]), ModK.from_modulus(5), method="closed"),
+     "unknown method 'closed'"),
+    (lambda: apply_move(FramedLinkMatrix.from_rows([[1]]), ("twist", 0)), "unknown move ('twist', 0)"),
+    (lambda: check_kirby_invariance(FramedLinkMatrix.from_rows([[1]]), "jones", 3), "unknown invariant 'jones'"),
+    (lambda: check_kirby_invariance(FramedLinkMatrix.from_rows([[1]]), "abelian", 3),
+     "abelian invariance check requires a ring"),
+], ids=["modulus-below-2", "unknown-method", "unknown-move", "unknown-invariant", "ring-required"])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestTauDw:

@@ -6,7 +6,8 @@ of a dotted path in the tracer's TARGETS. Dunders and the CLI commands,
 which click calls, are exempt. The definitions that only TARGETS names are a
 fixed list, so one that loses its last library caller shows. The last scans
 check that each check has one home: invariants.charge is the one place that
-raises a term-count GuardExceeded, numtheory.require_coprime the one gcd,
+raises a term-count GuardExceeded, invariants._require_float_range the one
+that raises a float-range GuardExceeded, numtheory.require_coprime the one gcd,
 FramedLinkMatrix.from_rows the one matrix construction, and cli._checked
 the one click.BadParameter outside check's one option-combination rule.
 """
@@ -100,13 +101,14 @@ def _library_calls(callee: str) -> list:
 
 
 def test_only_charge_builds_a_term_count_guard_error():
-    # every path states its term count through invariants.charge; the other guard errors are size checks on a
-    # value or a modulus, and none of them counts terms
+    # every path states its term count through invariants.charge and its value's modulus through
+    # invariants._require_float_range; the one other guard error is the brute sum's int64 bound on a modulus
     built = [(where, "".join(const.value for const in ast.walk(call)
                              if isinstance(const, ast.Constant) and isinstance(const.value, str)))
              for where, call in _library_calls("GuardExceeded")]
     assert [where for where, text in built if "terms" in text] == ["charge"]
-    assert all("float range" in text or "int64" in text for where, text in built if where != "charge")
+    assert [where for where, text in built if "float range" in text] == ["_require_float_range"]
+    assert all("int64" in text for where, text in built if where not in ("charge", "_require_float_range"))
 
 
 def test_only_require_coprime_takes_a_gcd():

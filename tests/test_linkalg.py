@@ -205,6 +205,18 @@ class TestHandleSlide:
             handle_slide(FramedLinkMatrix.from_rows([[0, 0], [0, 0]]), 1, 1, 1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: blow_down(FramedLinkMatrix.from_rows([[1, 0], [0, 1]]), 2), "component 2 out of range for m=2"),
+    (lambda: blow_down(FramedLinkMatrix.from_rows([[1]]), -1), "component -1 out of range for m=1"),
+    (lambda: handle_slide(FramedLinkMatrix.from_rows([[0, 0], [0, 0]]), 0, 2, 1), "indices (0,2) out of range for m=2"),
+    (lambda: handle_slide(FramedLinkMatrix.from_rows([[0, 0], [0, 0]]), 0, 1, 2), "slide sign must be +1 or -1, got 2"),
+], ids=["blow-down-index", "blow-down-negative-index", "slide-index", "slide-sign"])
+def test_rejected_move_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestSignature:
     @pytest.mark.parametrize(
         "rows,expected",

@@ -18,6 +18,7 @@ from geom_helpers import (
     square,
     twisted_offsets,
 )
+from qtopo import linkgeom
 from qtopo.errors import GeometryError, SchemaError
 from qtopo.linkgeom import (
     PolyLink,
@@ -226,6 +227,37 @@ class TestLinkingMatrix:
         )
         with pytest.raises(GeometryError, match=r"component \(0,0\)"):
             linking_matrix(link)
+
+    def test_residual_beyond_tolerance_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(linkgeom, "gauss_integral", lambda a, b: 0.5)
+        with pytest.raises(GeometryError) as info:
+            linking_number(*hopf_pair())
+        assert str(info.value) == "Gauss integral 0.5 is not integral (residual 5.00e-01)"
+        with pytest.raises(GeometryError) as info:
+            linking_matrix(hopf_polylink())
+        assert str(info.value) == "component (0,0): Gauss integral 0.5 is not integral (residual 5.00e-01)"
+
+    @pytest.mark.xfail(strict=True, reason="self_linking checks only delta, delta/2 and delta/4, so a push-off whose "
+                                           "homotopy crosses the curve below delta/4 gives a wrong framing")
+    def test_framing_does_not_depend_on_delta(self):
+        curve = ring(n=64, radius=2.0)
+        offsets = twisted_offsets(curve, turns=1)
+        at = {delta: linking_matrix(PolyLink(components=(curve,), framings=(offsets,), delta=delta)).J
+              for delta in (0.2, 20.0)}
+        assert at[0.2] == ((-1,),)
+        assert at[20.0] == at[0.2]  # reads ((0,),)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: PolyLink(components=(ring(),), framings=(), delta=0.2), ValueError,
+     "one framing offset field required per component"),
+    (lambda: gauss_integral(square(), square()), GeometryError, "curves pass too close for a stable direction map"),
+], ids=["framing-count", "shared-vertex"])
+def test_rejected_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def scaled(link, scale):

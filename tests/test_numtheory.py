@@ -78,6 +78,10 @@ class TestPrimitiveRoot:
         with pytest.raises(ValueError):
             primitive_root(9)
 
+    @pytest.mark.parametrize("g", [0, 7, -14])
+    def test_zero_residue_generates_nothing(self, g):
+        assert is_generator(g, 7) is False
+
 
 class TestDiscreteLog:
     @pytest.mark.parametrize("n,g,k,expected", [(3, 2, 5, 3), (1, 2, 5, 0), (6, 3, 7, 3)])

@@ -30,6 +30,18 @@ def basis(k: int, n: int) -> StateVector:
     return StateVector(dims=(k,), amps=amps)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: StateVector(dims=(2, 3), amps=np.zeros(5, dtype=np.complex128)),
+     "amplitude vector has shape (5,), expected (6,)"),
+    (lambda: apply_unitary(basis(3, 0), np.eye(2), 0), "matrix shape (2, 2) does not fit register of dimension 3"),
+    (lambda: prepare_legendre_state(1031), "k=1031 exceeds the simulator cap 1024"),
+], ids=["state-shape", "unitary-shape", "beyond-cap"])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def dense_legendre_state(k: int) -> np.ndarray:
     """Oracle for the kickback: the whole (k, k-1) joint state, shifted and projected at once."""
     anc = k - 1
