@@ -231,6 +231,7 @@ def _cases() -> list[dict]:
     add(["tau-dw", "--k", "1", "-i", "{input}"], "not-json")
     add(["check", "--invariant", "su2k3", "--k", "7", "-i", "{input}"], "not-json")
     add(["check", "--invariant", "su2k3", "--range", "paper", "-i", "{input}"], "not-json")
+    add(["check", "--invariant", "abelian", "--k", "4", "--range", "paper", "-i", "{input}"], "hopf")
     for first, second in ((["--k", "4"], ["--seed", "-1"]), (["--k", "4"], ["--eps", "1.5"])):
         add(["simulate", *first, "--a", "1", *second])
         add(["simulate", *second, "--a", "1", *first])
