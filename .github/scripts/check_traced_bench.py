@@ -17,6 +17,7 @@ SPEC = Path(__file__).resolve().parents[2] / "BENCHMARK.json"
 REACHED = [
     "cli.qsim.prepare_legendre_state.calls",
     "cli.linkgeom.linking_number.calls",
+    "cli.invariants.check_kirby_invariance.evaluations",
     "geometry.linkgeom.linking_number.calls",
     "geometry.linkgeom.gauss_integral.segment_pairs",
     "geometry.linkgeom.check_pairs",

@@ -11,13 +11,11 @@ beyond the int64 shot range (below about 1.8e-9), a check --moves above
 an --a not coprime to k (gauss-sum --method closed and simulate, through
 numtheory.require_coprime), and an -o file that cannot be written. Each command runs the library check
 its options need (_checked) before it reads the input, so exit 2 wins over
-exit 3. Each --k is a numtheory.ModK, and each command states what it needs
-of it: check --invariant dw takes every k that tau-dw takes, and check
---invariant su2k3 takes no --k, the one option combination the command
-rejects itself. check --range passes invariants.require_range: only dw takes
-paper, as the other invariants sum the whole group. check prints one
-invariants.KirbyReport, its factorized_vs_brute check included, and exits 5
-on the report's verdict.
+exit 3. An invariant's --k passes invariants.require_ring, the one owner of
+the numtheory.ModK each invariant takes (none for su2k3, at its fixed
+level), and check's --range passes invariants.require_range. check prints
+one invariants.KirbyReport, with invariants.with_oracle_check's check, and
+exits 5 on its verdict.
 Identical configuration and seed produce byte-identical output. The
 environment variable QTOPO_GUARD overrides the term guard (expert use).
 Every term count, check's pre-count of its script included, goes through
@@ -31,7 +29,6 @@ tau-su2k3 or check, so no guard bounds it; check's --moves bound does.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
@@ -133,8 +130,7 @@ def main() -> None:
 @_output_opt
 def tau_abelian_cmd(k: int, method: str, input_path: Path, output_path: Path | None) -> None:
     """Abelian gauge invariant of the link's 3-manifold."""
-    ring = _checked("--k", ModK.from_modulus, k)
-    _checked("--k", ModK.require_odd_prime_power, ring)
+    ring = _checked("--k", invariants.require_ring, "abelian", k)
     guard = _guard_from_env()
     result = invariants.tau_abelian(_load_link(input_path), ring, method=method, guard=guard)
     _emit(result.to_json_dict(), output_path)
@@ -156,7 +152,7 @@ def tau_su2k3_cmd(input_path: Path, output_path: Path | None) -> None:
 @_output_opt
 def tau_dw_cmd(k: int, range_convention: str, input_path: Path, output_path: Path | None) -> None:
     """Cyclic finite-group invariant of the link's 3-manifold."""
-    k = _checked("--k", ModK.from_modulus, k).k
+    k = _checked("--k", invariants.require_ring, "dw", k).k
     guard = _guard_from_env()
     result = invariants.tau_dw(_load_link(input_path), k, range_convention=range_convention, guard=guard)
     _emit(result.to_json_dict(), output_path)
@@ -203,29 +199,19 @@ def check_cmd(invariant: str, k: int | None, range_convention: str, moves: int, 
               input_path: Path, output_path: Path | None) -> None:
     """Verify invariance under a random script of framed-link moves.
 
-    For the Abelian invariant the factorized and brute-force evaluations are
-    also compared. Exits 5 when any asserted property fails.
+    The invariant's oracle check, where it has one, is also run: for the
+    Abelian invariant, the factorized evaluation against the brute one.
+    Exits 5 when any asserted property fails.
     """
-    if invariant in ("abelian", "dw") and k is None:
-        raise click.UsageError(f"--k is required for --invariant {invariant}")
-    if invariant == "su2k3" and k is not None:
-        raise click.BadParameter("--invariant su2k3 has the fixed level k=3; leave --k out", param_hint="'--k'")
+    ring = _checked("--k", invariants.require_ring, invariant, k)
     _checked("--range", invariants.require_range, invariant, range_convention)
-    ring = None if k is None else _checked("--k", ModK.from_modulus, k)
-    if invariant == "abelian":
-        _checked("--k", ModK.require_odd_prime_power, ring)
     _checked("--moves", invariants.require_random_moves, moves)
     guard = _guard_from_env()
     link = _load_link(input_path)
     report = invariants.check_kirby_invariance(
         link, invariant, moves, seed=seed, ring=ring, range_convention=range_convention, guard=guard,
     )
-    if invariant == "abelian":
-        brute = report.before  # check_kirby_invariance evaluates the abelian value by brute force
-        fact = invariants.tau_abelian(link, ring, method="factorized", guard=guard)
-        gap = abs(brute - fact.value) / abs(brute)  # |brute| >= 1 at every odd prime power
-        check = invariants.PropertyCheck("factorized_vs_brute", True, gap < 1e-6, gap)
-        report = dataclasses.replace(report, checks=(*report.checks, check))
+    report = invariants.with_oracle_check(report, link, ring, guard)
     for check in report.checks:
         status = "RECORDED" if not check.asserted else "PASS" if check.passed else "FAIL"
         click.echo(f"{status} {check.name}: max deviation {check.deviation:.3e}", err=True)

@@ -31,7 +31,7 @@ import math
 import random
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Literal, Sequence
 
@@ -197,22 +197,25 @@ def _half_box(
     return rows, forms
 
 
-def _factorized_sum(link: FramedLinkMatrix, ring: ModK, guard: int) -> complex:
-    """The sum of exp(-2*pi*i * n^T J n / k) over (Z/k)^m at an odd prime power k, in m*k terms.
+def _factorized_sum(link: FramedLinkMatrix, ring: ModK, guard: int, dw: bool = False) -> complex:
+    """The sum G of exp(-2*pi*i * n^T J n / k) over (Z/k)^m at an odd prime power k, in m*k terms; conj(G)/k for dw.
 
     J is congruence-diagonalized mod k (Murakami, Ohtsuki and Okada, Osaka
-    J. Math. 29, 1992), so the sum is the product of the scalar Gauss sums
-    of the diagonal entries, each summed by brute force once the modulus
-    that the diagonal fixes has passed _require_float_range.
+    J. Math. 29, 1992), so G is the product of the scalar Gauss sums of the
+    diagonal entries, each summed by brute force once the modulus of the
+    returned value has passed _require_float_range.
     """
     k = ring.k
     charge(link.m * k, f"{link.m}*{k}", guard)
     diag = diagonalize_mod_k(link, ring)
-    # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry
-    _require_float_range(ring.p, sum(ring.e + ring.valuation(entry) for entry in diag.d))
-    value = 1.0 + 0.0j
+    # |G(p^e, p^v u)| = p^((e + v)/2), with v = e for a zero entry; dividing by k takes 2e half-powers off
+    _require_float_range(ring.p, sum(ring.e + ring.valuation(entry) for entry in diag.d) - 2 * ring.e * dw)
+    scale = 2.0 ** (k.bit_length() * dw)  # dw's product carries 1/scale < 1/k, a power of 2, so G cannot overflow
+    value = complex(1.0 / scale, 0.0)
     for entry in diag.d:
         value *= gauss_sum_brute(k, entry)
+    if dw:  # conj(G)/k, an exact 0 kept as +0.0 as the brute sum gives it; both scaled by 1/scale, the same bits
+        value = complex(value.real, 0.0 - value.imag) / (k / scale)
     return value
 
 
@@ -350,14 +353,11 @@ def tau_dw(
     sum the box by brute force ("brute").
     """
     offset_range = SumRange(range_convention)  # a ValueError for any other word
-    ring = ModK.from_modulus(k)  # the range every modulus has: a k beyond the float range would overflow core / k
+    ring = ModK.from_modulus(k)  # the range every modulus has: a k beyond the float range would overflow a sum / k
     if offset_range is SumRange.ZERO_TO_KM1 and ring.p > 2:
-        g = _factorized_sum(link, ring, guard)  # the sum with the negative exponent
-        # its conjugate, with an exact 0 kept as +0.0, the sign the brute sum gives it
-        method, core = "factorized", complex(g.real, 0.0 - g.imag)
+        method, value = "factorized", _factorized_sum(link, ring, guard, dw=True)
     else:
-        method, core = "brute", multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard)
-    value = core / k
+        method, value = "brute", multivariate_gauss_sum(link, k, Fraction(1, k), offset_range, guard) / k
     return InvariantResult(value=value, method=method, k=k, m=link.m, normalized=value)
 
 
@@ -482,16 +482,34 @@ def _dw_law(values: list[complex], script: list[Move], k: int, range_convention:
     return [PropertyCheck("slide_invariance", asserted, dev < _KIRBY_TOL, dev)], notes
 
 
-# invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention),
-#               level, the k of an exact path that sums no terms, or None for ring.k and a count of the range's
-#               brute box); evaluate looks the tau_* function up when called, so a patched one is the one timed
+def _factorized_vs_brute(link: FramedLinkMatrix, ring: ModK, before: complex, guard: int) -> PropertyCheck:
+    fact = tau_abelian(link, ring, method="factorized", guard=guard).value
+    gap = abs(before - fact) / abs(before)  # before is the brute value, and |brute| >= 1 at every odd prime power
+    return PropertyCheck("factorized_vs_brute", True, gap < 1e-6, gap)
+
+
+# invariant -> (evaluate(link, ring, range_convention, guard), law(values, script, k, range_convention), level: the k
+#   of an exact path that sums no terms, else None, takes(ring): a ValueError unless the path runs at ring, or None,
+#   oracle(link, ring, before, guard): a check of before by another path, or None); tau_* are looked up when called
 _KIRBY_LAWS = {
-    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, 3),
+    "su2k3": (lambda link, ring, rc, guard: tau_su2_k3(link).value, _su2k3_law, 3, None, None),
     "abelian": (lambda link, ring, rc, guard: tau_abelian(link, ring, method="brute", guard=guard).value,
-                _abelian_law, None),
+                _abelian_law, None, ModK.require_odd_prime_power, _factorized_vs_brute),
     "dw": (lambda link, ring, rc, guard: tau_dw(link, ring.k, range_convention=rc, guard=guard).value, _dw_law,
-           None),
+           None, None, None),
 }
+
+
+def require_ring(invariant: str, k: int | None) -> ModK | None:
+    """The ring invariant's paths run at for a given k: None at a fixed level, which takes no k (else ValueError)."""
+    _, _, level, takes, _ = _KIRBY_LAWS[invariant]
+    if (k is None) == (level is None):
+        why = "needs a modulus k" if k is None else f"has the fixed level k={level}; leave k out"
+        raise ValueError(f"{invariant} {why}")
+    ring = None if k is None else ModK.from_modulus(k)
+    if takes is not None:
+        takes(ring)
+    return ring
 
 
 def require_range(invariant: str, range_convention: str) -> SumRange:
@@ -536,7 +554,7 @@ def check_kirby_invariance(
     if invariant not in _KIRBY_LAWS:
         raise ValueError(f"unknown invariant {invariant!r}")
     offset_range = require_range(invariant, range_convention)
-    evaluate, law, level = _KIRBY_LAWS[invariant]
+    evaluate, law, level, _, _ = _KIRBY_LAWS[invariant]
     if level is None and ring is None:
         raise ValueError(f"{invariant} invariance check requires a ring")
     k = level or ring.k
@@ -570,3 +588,9 @@ def check_kirby_invariance(
     checks, notes = law(values, script, k, range_convention)
     return KirbyReport(invariant=invariant, k=k, script=tuple(script), before=values[0], after=values[-1],
                        checks=tuple(checks), notes=tuple(notes))
+
+
+def with_oracle_check(report: KirbyReport, link: FramedLinkMatrix, ring: ModK | None, guard: int) -> KirbyReport:
+    """report with its invariant's oracle check on link appended, or report itself where the invariant has none."""
+    oracle = _KIRBY_LAWS[report.invariant][4]
+    return replace(report, checks=(*report.checks, oracle(link, ring, report.before, guard))) if oracle else report

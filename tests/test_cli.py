@@ -196,9 +196,23 @@ class TestCheckCommand:
         assert result.output.splitlines()[-1] == (
             "Error: Invalid value for '--moves': a random script has at most 1000 moves, got 1001")
 
-    def test_missing_k_is_config_error(self, runner, hopf_matrix):
-        result = runner.invoke(main, ["check", "--invariant", "abelian", "-i", str(hopf_matrix)])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("modulus,message", [
+        (["--invariant", "abelian"], "abelian needs a modulus k"),
+        (["--invariant", "abelian", "--k", "1"],
+         "modulus 1 must be >= 2 and below 3.3e+24, where primality is proven"),
+        (["--invariant", "abelian", "--k", "4"], "modulus 4 is not a power of a single odd prime"),
+        (["--invariant", "su2k3", "--k", "7"], "su2k3 has the fixed level k=3; leave k out"),
+    ], ids=["missing", "out-of-range", "not-odd-prime-power", "fixed-level"])
+    @pytest.mark.parametrize("partner", ["range", "moves", "input"])
+    def test_a_k_error_beats_every_other_error(self, runner, hopf_matrix, tmp_path, modulus, message, partner):
+        # invariants.require_ring runs first, before the --range and --moves checks and before the input is read
+        bad = tmp_path / "bad.json"
+        bad.write_text("{[")
+        args = {"range": ["--range", "paper"], "moves": ["--moves", "1001"], "input": []}[partner]
+        path = bad if partner == "input" else hopf_matrix
+        result = runner.invoke(main, ["check", *modulus, *args, "-i", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == f"Error: Invalid value for '--k': {message}"
 
     def test_abelian_warning_is_printed_once(self, hopf_matrix):
         # every evaluation warns from the same line, so Python's default filter shows it once

@@ -243,6 +243,36 @@ class TestFloatRange:
             assert str(info.value) == message
 
 
+class TestDwFloatRange:
+    # the full range at an odd prime power returns conj(G)/k, 2e half-powers below the group sum G, which may
+    # itself pass the largest float
+    @pytest.mark.parametrize("m,message", [
+        (206, None),
+        (207, None),
+        (208, "|value| = 1009**(206/2) ~ 1e309 is beyond the float range"),
+    ])
+    def test_boundary_is_the_returned_value(self, m, message):
+        link = FramedLinkMatrix.from_rows([[int(i == j) for j in range(m)] for i in range(m)])
+        if message is None:
+            value = tau_dw(link, 1009, "full").value
+            assert math.isclose(abs(value), 1009 ** ((m - 2) / 2), rel_tol=1e-9)
+        else:
+            with pytest.raises(GuardExceeded) as info:
+                tau_dw(link, 1009, "full")
+            assert str(info.value) == message
+
+    def test_same_bits_as_dividing_the_group_sum(self):
+        # the product runs scaled by a power of 2, which changes no bit, signed zeros included
+        rng = random.Random(41)
+        for _ in range(150):
+            m, k = rng.randint(0, 6), rng.choice([3, 5, 7, 9, 25, 27, 49, 125, 1009])
+            link = random_symmetric(rng, m) if rng.random() < 0.8 else FramedLinkMatrix.from_rows([[0] * m] * m)
+            g = invariants._factorized_sum(link, ModK.from_modulus(k), invariants.DEFAULT_GUARD)
+            want = complex(g.real, 0.0 - g.imag) / k
+            got = tau_dw(link, k, "full").value
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (link.J, k)
+
+
 class TestTauSu2K3:
     @pytest.mark.parametrize(
         "rows,expected",
@@ -484,6 +514,20 @@ class TestKirbyChecks:
         )
         assert report.passed
         assert abs(abs(report.after) / abs(report.before) - math.sqrt(5)) < 1e-9
+
+    @pytest.mark.parametrize("invariant,k", [("su2k3", None), ("abelian", 5), ("dw", 5)])
+    def test_only_abelian_has_an_oracle_check(self, invariant, k):
+        # check_kirby_invariance never adds the oracle check itself, so a caller that appends one gets one copy
+        link, ring = FramedLinkMatrix.from_rows([[1, 2], [2, 0]]), invariants.require_ring(invariant, k)
+        report = check_kirby_invariance(link, invariant, 3, seed=1, ring=ring)
+        checked = invariants.with_oracle_check(report, link, ring, invariants.DEFAULT_GUARD)
+        if invariant != "abelian":
+            assert checked is report
+        else:
+            assert checked.checks[:-1] == report.checks
+            assert (checked.checks[-1].name, checked.checks[-1].passed) == ("factorized_vs_brute", True)
+            fact = tau_abelian(link, ring, method="factorized").value
+            assert checked.checks[-1].deviation == abs(report.before - fact) / abs(report.before)
 
     def test_empty_script_trivially_passes(self):
         report = check_kirby_invariance(FramedLinkMatrix.from_rows([[2]]), "su2k3", [])

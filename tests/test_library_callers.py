@@ -9,7 +9,10 @@ check that each check has one home: invariants.charge is the one place that
 raises a term-count GuardExceeded, invariants._require_float_range the one
 that raises a float-range GuardExceeded, numtheory.require_coprime the one gcd,
 FramedLinkMatrix.from_rows the one matrix construction, and cli._checked
-the one click.BadParameter outside check's one option-combination rule.
+the one click.BadParameter. The CLI asks invariants._KIRBY_LAWS, through
+invariants.require_ring and invariants.with_oracle_check, for each
+invariant's modulus rule and oracle check, so it never compares an
+invariant's name, and only invariants.py names factorized_vs_brute.
 """
 
 import ast
@@ -124,8 +127,26 @@ def test_only_from_rows_constructs_a_matrix():
     assert [where for where, _ in built] == ["from_rows"]
 
 
-def test_only_checked_and_check_options_raise_bad_parameter():
-    # check_cmd's is su2k3's --k rule; every other option is checked by a library check under _checked, or by
-    # click's IntRange
+def test_only_checked_raises_bad_parameter():
+    # every option is checked by a library check under _checked, or by click's IntRange
     raised = [where for where, _ in _library_calls("BadParameter")]
-    assert raised == ["_checked", "check_cmd"]
+    assert raised == ["_checked"]
+
+
+INVARIANTS = {"abelian", "su2k3", "dw"}
+
+
+def test_the_cli_never_compares_an_invariant_name():
+    # an ==, != or in against a name, or a tuple, list or set of names, would be a rule the law table owns
+    tree = ast.parse((ROOT / "src" / "qtopo" / "cli.py").read_text())
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+                for const in ast.walk(operand)
+                if isinstance(const, ast.Constant) and const.value in INVARIANTS]
+    assert compared == []
+
+
+def test_only_invariants_names_the_oracle_check():
+    named = [path.name for path in LIBRARY for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and node.value == "factorized_vs_brute"]
+    assert named == ["invariants.py"]
